@@ -34,10 +34,12 @@ indistinguishable from 1 in double precision there.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,9 +61,31 @@ DEFAULT_EPS_DEEP = 1e-7
 MAX_DEPTH = 5
 
 
+#: Largest absolute rounding error of a float result in the subnormal range.
+_TINY = math.ulp(0.0)
+
+
+def _up(*parts: float) -> float:
+    """A float no smaller than the exact sum of the nonnegative ``parts``.
+
+    Each part may carry a couple of roundings of its own (relative eps/2
+    each, or _TINY/2 where it underflowed) and the sum adds one more; the
+    factor and the _TINY per part cover them all.
+    """
+    return math.fsum(parts) * (1.0 + 4.0 * _EPS) + len(parts) * _TINY
+
+
 @dataclass(frozen=True)
 class EvalReport:
-    """A numeric value together with a rigorous absolute-error bound."""
+    """A numeric value together with a rigorous absolute-error bound.
+
+    Reports form a midpoint-radius ("ball") arithmetic in the style of Arb
+    (Johansson, IEEE TC 2017): ``+``, ``-``, ``*`` between reports, scaling
+    by an int, float or Fraction, and :meth:`fsum` / :meth:`prod`.  Each
+    value is the plain float operation on the midpoints; each radius adds
+    the propagated input radii and the rounding of that operation, rounded
+    upward.  ``terms_used`` adds across operands.
+    """
 
     value: float
     abs_error_bound: float
@@ -72,6 +96,51 @@ class EvalReport:
             raise DomainError("error bound must be finite and nonnegative")
         if self.terms_used < 1:
             raise DomainError("terms_used must be at least 1")
+
+    def __add__(self, other: "EvalReport") -> "EvalReport":
+        if not isinstance(other, EvalReport):
+            return NotImplemented
+        v = self.value + other.value
+        r = _up(self.abs_error_bound, other.abs_error_bound, _EPS * abs(v))
+        return EvalReport(v, r, self.terms_used + other.terms_used)
+
+    def __sub__(self, other: "EvalReport") -> "EvalReport":
+        return self + (-other) if isinstance(other, EvalReport) else NotImplemented
+
+    def __neg__(self) -> "EvalReport":
+        return EvalReport(-self.value, self.abs_error_bound, self.terms_used)
+
+    def __mul__(self, other) -> "EvalReport":
+        if isinstance(other, EvalReport):
+            a, ra = abs(self.value), self.abs_error_bound
+            b, rb = abs(other.value), other.abs_error_bound
+            v = self.value * other.value
+            # (a + ra)(b + rb) - ab, expanded so that nothing cancels
+            r = _up(a * rb, ra * b, ra * rb, _EPS * abs(v))
+            return EvalReport(v, r, self.terms_used + other.terms_used)
+        if isinstance(other, (int, float, Fraction)):
+            c = float(other)
+            v = c * self.value
+            # the eps term also covers the conversion of a Fraction or int to float
+            r = _up(abs(c) * self.abs_error_bound, _EPS * abs(v))
+            return EvalReport(v, r, self.terms_used)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    @classmethod
+    def fsum(cls, reports: Iterable["EvalReport"]) -> "EvalReport":
+        """Correctly rounded sum of one or more values; the radii add."""
+        reports = list(reports)
+        v = math.fsum(r.value for r in reports)
+        r = _up(*(r.abs_error_bound for r in reports), _EPS * abs(v))
+        return cls(v, r, sum(r.terms_used for r in reports))
+
+    @classmethod
+    def prod(cls, reports: Iterable["EvalReport"]) -> "EvalReport":
+        """Left-to-right product; the empty product is exactly 1."""
+        reports = list(reports)
+        return reduce(operator.mul, reports) if reports else cls(1.0, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +231,9 @@ def _pt_multiply(p1: _PowerTail, p2: _PowerTail) -> _PowerTail:
     terms = [(c1 * c2, e1 + e2) for c1, e1 in p1.terms for c2, e2 in p2.terms]
     s1 = math.fsum(abs(c) for c, _ in p1.terms)
     s2 = math.fsum(abs(c) for c, _ in p2.terms)
-    e1min = min(e for _, e in p1.terms)
-    e2min = min(e for _, e in p2.terms)
+    # an expansion whose terms were all folded has s = 0; any exponent will do
+    e1min = min((e for _, e in p1.terms), default=p1.rem_exp)
+    e2min = min((e for _, e in p2.terms), default=p2.rem_exp)
     rems = [
         (s1 * p2.rem_coef, e1min + p2.rem_exp),
         (p1.rem_coef * s2, p1.rem_exp + e2min),
@@ -188,18 +258,47 @@ def _pt_eval(pt: _PowerTail, m: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _tail_cutoff(s: float, eps: float) -> int:
-    """Smallest m at which the expansion remainder drops below eps/4."""
-    rc = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) / 30240.0
+#: Most explicit terms a single series may sum before giving up on a target.
+_MAX_SERIES_TERMS = 10_000_000
+
+
+def _tail_cutoff(pt: _PowerTail, eps: float, name: str) -> int:
+    """Smallest m >= 10 at which the expansion remainder drops below eps/4."""
+    rc = pt.rem_coef
     if rc <= 0.25 * eps:
         return 10
-    n = math.exp(math.log(4.0 * rc / eps) / (s + 5.0))
+    ratio = 4.0 * rc / eps
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(rc) + math.log(4.0 / eps)
+    n = math.exp(log_ratio / pt.rem_exp)
+    if not n <= _MAX_SERIES_TERMS:
+        raise PrecisionError(f"{name}: {eps} is out of reach within {_MAX_SERIES_TERMS} terms")
     return max(10, int(math.ceil(n)))
 
 
 def _check_eps(target_eps: float) -> None:
     if not (target_eps > 0.0 and math.isfinite(target_eps)):
         raise DomainError(f"target_eps must be positive, got {target_eps}")
+
+
+def _series_tail(p: float, n: int, target_eps: float, name: str) -> EvalReport:
+    """sum_{i>n} i^(-p): explicit terms up to the cutoff, the expansion past it.
+
+    The value is never formed as a difference of two nearly equal numbers.
+    """
+    pt = _zeta_tail_pt(p)
+    cutoff = _tail_cutoff(pt, target_eps, name)
+    if n >= cutoff:
+        value, bound = _pt_eval(pt, n)
+        terms = max(len(pt.terms), 1)
+    else:
+        partial = math.fsum(i ** (-p) for i in range(n + 1, cutoff + 1))
+        tv, tb = _pt_eval(pt, cutoff)
+        value = partial + tv
+        bound = tb + (cutoff - n + 4.0) * _EPS * (abs(partial) + abs(tv))
+        terms = cutoff - n
+    if not bound <= target_eps:
+        raise PrecisionError(f"{name}: achieved bound {bound} > {target_eps}")
+    return EvalReport(value, bound, terms)
 
 
 @lru_cache(maxsize=8192)
@@ -209,14 +308,7 @@ def _zeta_cached(s: float, target_eps: float) -> EvalReport:
         raise PrecisionError(
             f"zeta({s}) cannot be resolved to {target_eps} in double precision"
         )
-    n = _tail_cutoff(s, target_eps)
-    partial = math.fsum(i ** (-s) for i in range(1, n + 1))
-    tv, tb = _pt_eval(_zeta_tail_pt(s), n)
-    value = partial + tv
-    bound = tb + (n + 4.0) * _EPS * (abs(partial) + abs(tv))
-    if bound > target_eps:
-        raise PrecisionError(f"zeta({s}): achieved bound {bound} > {target_eps}")
-    return EvalReport(value, bound, n)
+    return _series_tail(s, 0, target_eps, f"zeta({s})")
 
 
 def zeta(s: float, target_eps: float = DEFAULT_EPS) -> EvalReport:
@@ -231,8 +323,7 @@ def zeta(s: float, target_eps: float = DEFAULT_EPS) -> EvalReport:
 def tail(p: float, n: int, target_eps: float = DEFAULT_EPS) -> EvalReport:
     """The remainder sum_{i>n} i^(-p) after n terms, computed tail-side.
 
-    The value is never formed as a difference of two nearly equal numbers:
-    for large n the expansion is used directly, otherwise the first terms
+    For large n the expansion is used directly, otherwise the first terms
     are summed explicitly and the expansion picks up the rest.
     """
     p = float(p)
@@ -241,20 +332,7 @@ def tail(p: float, n: int, target_eps: float = DEFAULT_EPS) -> EvalReport:
         raise DomainError(f"tail requires p > 1 + {MIN_GAP}, got {p}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    pt = _zeta_tail_pt(p)
-    cutoff = _tail_cutoff(p, target_eps)
-    if n >= cutoff:
-        value, bound = _pt_eval(pt, n)
-        if bound > target_eps:
-            raise PrecisionError(f"tail({p},{n}): bound {bound} > {target_eps}")
-        return EvalReport(value, bound, len(pt.terms))
-    partial = math.fsum(i ** (-p) for i in range(n + 1, cutoff + 1))
-    tv, tb = _pt_eval(pt, cutoff)
-    value = partial + tv
-    bound = tb + (cutoff - n + 4.0) * _EPS * (abs(partial) + abs(tv))
-    if bound > target_eps:
-        raise PrecisionError(f"tail({p},{n}): bound {bound} > {target_eps}")
-    return EvalReport(value, bound, cutoff - n)
+    return _series_tail(p, n, target_eps, f"tail({p},{n})")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +452,8 @@ def mzv(index: MzvIndex | Sequence[float], target_eps: float | None = None) -> E
     n = 64
     while n <= 2**19:
         value, bound = _mzv_build(args, pts, n)
+        if not math.isfinite(bound):
+            raise PrecisionError(f"mzv{args}: bound is not finite at cutoff {n}")
         if best is None or bound < best[1]:
             best = (value, bound, n)
         if bound <= target_eps:
@@ -450,6 +530,10 @@ def brute_tail_product_sum(
     n = 256
     while n <= 2**22:
         value, bound = _brute_build(exps, pts, tail_pt, n)
+        if not math.isfinite(bound):
+            raise PrecisionError(
+                f"brute_tail_product_sum{exps}: bound is not finite at cutoff {n}"
+            )
         if best is None or bound < best[1]:
             best = (value, bound, n)
         if bound <= target_eps:
@@ -739,7 +823,10 @@ def mzv_integral(r: float, q: float, target_eps: float = DEFAULT_EPS) -> EvalRep
         raise DomainError(f"integral representation requires r > 1 + {MIN_GAP}")
     if not q > 2.0 - r + MIN_GAP:
         raise DomainError(f"integral representation requires q > 2 - r + {MIN_GAP}")
-    gam = math.gamma(r)
+    try:
+        gam = math.gamma(r)
+    except OverflowError:
+        raise PrecisionError(f"mzv_integral: Gamma({r}) overflows double precision") from None
     tail_budget = 0.02 * target_eps * gam
     head_budget = 0.02 * target_eps * gam
     t_cut, tail_bound = _upper_cut(r, q, tail_budget)

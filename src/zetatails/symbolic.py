@@ -126,24 +126,10 @@ class ZetaPolynomial:
             for m, c in self._terms.items()
         )
         per = target_eps / (4.0 * scale)
-        total: list[float] = []
-        bound = 0.0
-        terms_used = 0
-        for mono, coeff in sorted(self._terms.items()):
-            reports = [numerics.zeta(a, per) for a in mono]
-            terms_used += sum(r.terms_used for r in reports)
-            prod = 1.0
-            for r in reports:
-                prod *= r.value
-            inflated = 1.0
-            for r in reports:
-                inflated *= abs(r.value) + r.abs_error_bound
-            c = float(coeff)
-            total.append(c * prod)
-            bound += abs(c) * (inflated - abs(prod)) + 4.0 * numerics._EPS * abs(c * prod)
-        value = math.fsum(total)
-        bound += len(total) * numerics._EPS * math.fsum(abs(v) for v in total)
-        return numerics.EvalReport(value, bound, max(terms_used, 1))
+        return numerics.EvalReport.fsum(
+            coeff * numerics.EvalReport.prod(numerics.zeta(a, per) for a in mono)
+            for mono, coeff in sorted(self._terms.items())
+        )
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items())
@@ -176,7 +162,9 @@ class ZetaPolynomial:
                 power = mono.count(a)
                 factors.append(f"zeta({a})" if power == 1 else f"zeta({a})^{power}")
             body = "*".join(factors)
-            if coeff == 1:
+            if not body:
+                piece = str(coeff)
+            elif coeff == 1:
                 piece = body
             elif coeff == -1:
                 piece = f"-{body}"

@@ -213,7 +213,7 @@ def evaluate_formula(
     """Numeric value of a tail formula at concrete exponents.
 
     Every instantiated index is evaluated as a nested series and the single
-    product is subtracted; error bounds add across terms.
+    product is subtracted, all in :class:`EvalReport` arithmetic.
     """
     exps = as_args(exponents)
     if target_eps is None:
@@ -224,27 +224,13 @@ def evaluate_formula(
             raise DomainError(f"instantiated index {args} does not converge")
     coeff_scale = sum(max(1.0, abs(float(c))) for c in merged.values())
     per = target_eps / (4.0 * coeff_scale)
-    values = []
-    bound = 0.0
-    terms_used = 0
-    for args, coeff in sorted(merged.items()):
-        rep = numerics.mzv(args, max(per / 2.0, 1e-10))
-        values.append(float(coeff) * rep.value)
-        bound += abs(float(coeff)) * rep.abs_error_bound
-        terms_used += rep.terms_used
+    terms = [
+        coeff * numerics.mzv(args, max(per / 2.0, 1e-10))
+        for args, coeff in sorted(merged.items())
+    ]
     z_eps = target_eps / (8.0 * max(1, formula.k) * 4.0)
-    z_reports = [numerics.zeta(p, z_eps) for p in exps]
-    prod = 1.0
-    inflated = 1.0
-    for repz in z_reports:
-        prod *= repz.value
-        inflated *= abs(repz.value) + repz.abs_error_bound
-        terms_used += repz.terms_used
-    values.append(float(formula.product_coeff) * prod)
-    bound += abs(float(formula.product_coeff)) * (inflated - abs(prod))
-    value = math.fsum(values)
-    bound += (len(values) + 4.0) * numerics._EPS * math.fsum(abs(v) for v in values)
-    return EvalReport(value, bound, max(terms_used, 1))
+    product = EvalReport.prod(numerics.zeta(p, z_eps) for p in exps)
+    return EvalReport.fsum(terms + [formula.product_coeff * product])
 
 
 def proposition_kk1(k: float, target_eps: float | None = None) -> tuple[EvalReport, EvalReport]:
@@ -266,18 +252,7 @@ def proposition_kk1(k: float, target_eps: float | None = None) -> tuple[EvalRepo
     zk1 = numerics.zeta(k + 1.0, z_eps)
     z2k = numerics.zeta(2.0 * k, z_eps)
     integral = numerics.mzv_integral(k + 1.0, k - 1.0, target_eps / 4.0)
-    value = 0.5 * zk.value**2 + 0.5 * z2k.value - zk.value * zk1.value + integral.value
-    bound = (
-        0.5 * (2.0 * abs(zk.value) * zk.abs_error_bound + zk.abs_error_bound**2)
-        + 0.5 * z2k.abs_error_bound
-        + abs(zk.value) * zk1.abs_error_bound
-        + abs(zk1.value) * zk.abs_error_bound
-        + zk.abs_error_bound * zk1.abs_error_bound
-        + integral.abs_error_bound
-        + 8.0 * numerics._EPS * abs(value)
-    )
-    rhs = EvalReport(value, bound, zk.terms_used + zk1.terms_used + z2k.terms_used + integral.terms_used)
-    return lhs, rhs
+    return lhs, 0.5 * (zk * zk) + 0.5 * z2k - zk * zk1 + integral
 
 
 def proposition_square(k: float, target_eps: float | None = None) -> tuple[EvalReport, EvalReport]:
@@ -297,16 +272,7 @@ def proposition_square(k: float, target_eps: float | None = None) -> tuple[EvalR
     z2k1 = numerics.zeta(2.0 * k - 1.0, z_eps)
     zk = numerics.zeta(k, z_eps)
     integral = numerics.mzv_integral(k, k - 1.0, target_eps / 8.0)
-    value = z2k1.value - zk.value**2 + 2.0 * integral.value
-    bound = (
-        z2k1.abs_error_bound
-        + 2.0 * abs(zk.value) * zk.abs_error_bound
-        + zk.abs_error_bound**2
-        + 2.0 * integral.abs_error_bound
-        + 8.0 * numerics._EPS * abs(value)
-    )
-    rhs = EvalReport(value, bound, z2k1.terms_used + zk.terms_used + integral.terms_used)
-    return lhs, rhs
+    return lhs, z2k1 - zk * zk + 2.0 * integral
 
 
 def integer_square_closed_form(p: int) -> ZetaPolynomial:

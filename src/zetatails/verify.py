@@ -11,12 +11,15 @@ sides, their difference, and the tolerance actually enforced
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import numerics, symbolic, tails
 from .core import weak_ordering_count
+from .numerics import EvalReport
 from .symbolic import IntegerIndex, ZetaPolynomial
 
 
@@ -33,6 +36,11 @@ class CheckResult:
 def _numeric_check(name: str, lhs: float, rhs: float, bound: float) -> CheckResult:
     diff = abs(lhs - rhs)
     return CheckResult(name, lhs, rhs, diff, bound, diff <= bound)
+
+
+def _compare(name: str, a: EvalReport, b: EvalReport, tol: float) -> CheckResult:
+    """Two reports agree within the stated tolerance plus both error bounds."""
+    return _numeric_check(name, a.value, b.value, tol + a.abs_error_bound + b.abs_error_bound)
 
 
 def _exact_check(name: str, ok: bool) -> CheckResult:
@@ -94,42 +102,16 @@ def _product_case_checks() -> list[CheckResult]:
     for exps, terms, tol in PRODUCT_CASES:
         name = f"brute-({','.join(str(int(p)) for p in exps)})"
         brute = numerics.brute_tail_product_sum(exps)
-        closed = ZetaPolynomial(terms).evaluate(1e-9)
-        bound = tol + brute.abs_error_bound + closed.abs_error_bound
-        checks.append(_numeric_check(name, brute.value, closed.value, bound))
+        checks.append(_compare(name, brute, ZetaPolynomial(terms).evaluate(1e-9), tol))
     return checks
 
 
 def _integral_checks() -> list[CheckResult]:
     rep = numerics.mzv_integral(2.0, 1.0, 1e-9)
-    z3 = numerics.zeta(3.0, 1e-10)
-    checks = [
-        _numeric_check(
-            "integral-(2,1)",
-            rep.value,
-            z3.value,
-            1e-8 + rep.abs_error_bound + z3.abs_error_bound,
-        )
-    ]
+    checks = [_compare("integral-(2,1)", rep, numerics.zeta(3.0, 1e-10), 1e-8)]
     for k in (2.0, 2.5, 3.0):
-        lhs, rhs = tails.proposition_kk1(k)
-        checks.append(
-            _numeric_check(
-                f"prop-kk1-k{k}",
-                lhs.value,
-                rhs.value,
-                1e-7 + lhs.abs_error_bound + rhs.abs_error_bound,
-            )
-        )
-        lhs, rhs = tails.proposition_square(k)
-        checks.append(
-            _numeric_check(
-                f"prop-square-k{k}",
-                lhs.value,
-                rhs.value,
-                1e-7 + lhs.abs_error_bound + rhs.abs_error_bound,
-            )
-        )
+        checks.append(_compare(f"prop-kk1-k{k}", *tails.proposition_kk1(k), 1e-7))
+        checks.append(_compare(f"prop-square-k{k}", *tails.proposition_square(k), 1e-7))
     return checks
 
 
@@ -150,11 +132,7 @@ def _duality_checks() -> list[CheckResult]:
         a = numerics.mzv(tuple(float(x) for x in idx.args), 1e-9)
         b = numerics.mzv(tuple(float(x) for x in dual.args), 1e-9)
         name = f"duality-({','.join(str(x) for x in idx.args)})"
-        checks.append(
-            _numeric_check(
-                name, a.value, b.value, 1e-8 + a.abs_error_bound + b.abs_error_bound
-            )
-        )
+        checks.append(_compare(name, a, b, 1e-8))
     return checks
 
 
@@ -163,13 +141,11 @@ def _sum_theorem_checks() -> list[CheckResult]:
     for k in (2, 3):
         for n in range(k + 1, 7):
             indices, rhs_poly = symbolic.sum_theorem_identity(n, k)
-            reports = [
-                numerics.mzv(tuple(float(x) for x in idx.args), 1e-9) for idx in indices
-            ]
-            total = sum(r.value for r in reports)
-            rhs = rhs_poly.evaluate(1e-9)
-            bound = 1e-8 + sum(r.abs_error_bound for r in reports) + rhs.abs_error_bound
-            checks.append(_numeric_check(f"sumthm-n{n}-k{k}", total, rhs.value, bound))
+            total = reduce(
+                operator.add,
+                (numerics.mzv(tuple(float(x) for x in idx.args), 1e-9) for idx in indices),
+            )
+            checks.append(_compare(f"sumthm-n{n}-k{k}", total, rhs_poly.evaluate(1e-9), 1e-8))
     return checks
 
 
@@ -204,16 +180,8 @@ def _symbolic_checks() -> list[CheckResult]:
     expected_32 = ZetaPolynomial({(2, 3): F(3), (5,): F(-11, 2)})
     red = symbolic.reduce_double_odd(3, 2)
     checks.append(_exact_check("reduce-(3,2)-exact", red == expected_32))
-    val = red.evaluate(1e-9)
     direct = numerics.mzv((3.0, 2.0), 1e-9)
-    checks.append(
-        _numeric_check(
-            "reduce-(3,2)-numeric",
-            val.value,
-            direct.value,
-            1e-8 + val.abs_error_bound + direct.abs_error_bound,
-        )
-    )
+    checks.append(_compare("reduce-(3,2)-numeric", red.evaluate(1e-9), direct, 1e-8))
     square3 = tails.integer_square_closed_form(3)
     expected_sq = ZetaPolynomial({(5,): F(-10), (2, 3): F(6), (3, 3): F(-1)})
     checks.append(_exact_check("square-form-p3-exact", square3 == expected_sq))
@@ -271,26 +239,12 @@ def random_checks(seed: int, n_formula: int = 50, n_integral: int = 20) -> list[
         formula = tails.tail_product_formula(exps)
         lhs = tails.evaluate_formula(formula, exps, 1e-7)
         rhs = numerics.brute_tail_product_sum(exps, 1e-7)
-        checks.append(
-            _numeric_check(
-                f"random-formula-{i:02d}",
-                lhs.value,
-                rhs.value,
-                lhs.abs_error_bound + rhs.abs_error_bound + 1e-6,
-            )
-        )
+        checks.append(_compare(f"random-formula-{i:02d}", lhs, rhs, 1e-6))
     for i in range(n_integral):
         r, q = sample_rq_pair(rng)
         lhs = numerics.mzv_integral(r, q, 1e-8)
         rhs = numerics.mzv((r, q), 1e-9)
-        checks.append(
-            _numeric_check(
-                f"random-integral-{i:02d}",
-                lhs.value,
-                rhs.value,
-                lhs.abs_error_bound + rhs.abs_error_bound + 1e-7,
-            )
-        )
+        checks.append(_compare(f"random-integral-{i:02d}", lhs, rhs, 1e-7))
     return checks
 
 

@@ -128,6 +128,11 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "zeta", "--args", "1.000002", "--eps", "1e-10")
         assert code == 3
         assert "precision error" in err
+        # exponents whose expansion coefficients overflow doubles
+        for argv in (("zeta", "--args", "1e300"), ("mzv", "--args", "1e300,1")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert "precision error" in err and "nan" not in err
 
     def test_negative_eps_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "zeta", "--args", "2", "--eps", "-1")

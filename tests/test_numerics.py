@@ -1,12 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetatails import (
     DepthError,
     DomainError,
+    EvalReport,
     PrecisionError,
     brute_tail_product_sum,
     mzv,
@@ -389,3 +393,86 @@ class TestErrorBoundHonesty:
         a = brute_tail_product_sum((2.0, 2.0), 1e-8)
         b = brute_tail_product_sum((2.0, 2.0), 5e-9)
         assert abs(a.value - b.value) <= a.abs_error_bound + 1e-15
+
+
+class TestHugeExponents:
+    """Exponents far past what the expansions can hold in doubles."""
+
+    @pytest.mark.parametrize(
+        "route,args",
+        [
+            (zeta, (1e300,)),
+            (mzv, ((1e300, 1.0),)),
+            (brute_tail_product_sum, ((1e300, 2.0),)),
+            (mzv_integral, (200.0, 1.0)),
+            (tail, (2.0, 0, 1e-300)),
+        ],
+        ids=["zeta", "mzv", "brute", "integral", "tail-tiny-eps"],
+    )
+    def test_fail_cleanly(self, route, args):
+        with pytest.raises((DomainError, PrecisionError)):
+            route(*args)
+
+    def test_zeta_still_served_below_overflow(self):
+        # 4 * remainder coefficient / eps overflows here, the cutoff does not
+        rep = zeta(1e61)
+        assert rep.value == 1.0 and rep.abs_error_bound <= 1e-9
+
+
+def _scaled(mantissas):
+    """Floats spread over the whole exponent range, subnormals included."""
+    return st.builds(math.ldexp, mantissas, st.integers(min_value=-1074, max_value=300))
+
+
+@st.composite
+def _balls(draw):
+    """A report together with an exact point inside its ball."""
+    rep = EvalReport(
+        draw(_scaled(st.floats(-1.0, 1.0))), draw(_scaled(st.floats(0.0, 1.0))), 1
+    )
+    t = draw(st.fractions(min_value=-1, max_value=1, max_denominator=10**6))
+    return rep, Fraction(rep.value) + t * Fraction(rep.abs_error_bound)
+
+
+_scalars = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.floats(-1e6, 1e6),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+
+
+def _covers(rep, exact):
+    return abs(Fraction(rep.value) - exact) <= Fraction(rep.abs_error_bound)
+
+
+class TestBallArithmetic:
+    @given(_balls(), _balls())
+    @settings(max_examples=250, deadline=None)
+    def test_binary_operations_cover_exact_results(self, a, b):
+        (ra, xa), (rb, xb) = a, b
+        assert _covers(ra + rb, xa + xb)
+        assert _covers(ra - rb, xa - xb)
+        assert _covers(-ra, -xa)
+        assert _covers(ra * rb, xa * xb)
+
+    @given(_balls(), _scalars)
+    @settings(max_examples=250, deadline=None)
+    def test_scalar_multiple_covers_exact_result(self, a, c):
+        ra, xa = a
+        assert _covers(c * ra, Fraction(c) * xa)
+
+    @given(st.lists(_balls(), min_size=1, max_size=8))
+    @settings(max_examples=120, deadline=None)
+    def test_fsum_and_prod_cover_exact_results(self, balls):
+        reports = [r for r, _ in balls]
+        assert _covers(EvalReport.fsum(reports), sum(x for _, x in balls))
+        few = balls[:3]  # three factors below 2^300 stay inside the float range
+        assert _covers(EvalReport.prod(r for r, _ in few), math.prod(x for _, x in few))
+
+    def test_empty_product_is_exact_one(self):
+        assert EvalReport.prod([]) == EvalReport(1.0, 0.0, 1)
+
+    def test_terms_used_add_across_operands(self):
+        a, b = EvalReport(1.0, 0.0, 2), EvalReport(2.0, 0.0, 5)
+        assert (a + b).terms_used == (a * b).terms_used == 7
+        assert (3 * a).terms_used == 2

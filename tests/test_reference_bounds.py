@@ -5,11 +5,26 @@ reference value.  These tests guard the error model itself, which the
 pure-identity tests cannot see; they are skipped when mpmath is absent.
 """
 
+from fractions import Fraction
+
 import pytest
 
 mp = pytest.importorskip("mpmath")
 
-from zetatails import mzv, mzv_integral, polylog, tail, zeta  # noqa: E402
+from zetatails import (  # noqa: E402
+    ZetaPolynomial,
+    evaluate_formula,
+    integer_square_closed_form,
+    mzv,
+    mzv_integral,
+    polylog,
+    proposition_kk1,
+    proposition_square,
+    tail,
+    tail_product_formula,
+    zeta,
+)
+from zetatails.verify import PRODUCT_CASES  # noqa: E402
 
 mp.mp.dps = 30
 
@@ -71,3 +86,54 @@ def test_mzv_integral_bound_covers_truth(args):
     rep = mzv_integral(r, q, 1e-9)
     err = abs(rep.value - float(MZV_TRUTHS[args]))
     assert err <= rep.abs_error_bound + 2e-16
+
+
+def _poly_truth(poly):
+    return mp.fsum(
+        mp.mpf(c.numerator) / c.denominator * mp.fprod(_z(a) for a in mono)
+        for mono, c in poly.sorted_terms()
+    )
+
+
+def _covers(rep, truth):
+    """The exact distance from the reported value to the truth is within the bound."""
+    return abs(mp.mpf(rep.value) - truth) <= rep.abs_error_bound
+
+
+# pinned closed forms of sum_n prod_j tail(i_j, n), keyed by exponents
+CLOSED_FORMS = {exps: ZetaPolynomial(terms) for exps, terms, _ in PRODUCT_CASES}
+
+
+@pytest.mark.parametrize("exps", sorted(CLOSED_FORMS), ids=str)
+def test_evaluate_formula_bound_covers_truth(exps):
+    rep = evaluate_formula(tail_product_formula(exps), exps)
+    assert _covers(rep, _poly_truth(CLOSED_FORMS[exps]))
+
+
+@pytest.mark.parametrize(
+    "route,k,exps",
+    [
+        (proposition_kk1, 2.0, (3.0, 2.0)),
+        (proposition_square, 2.0, (2.0, 2.0)),
+        (proposition_square, 3.0, (3.0, 3.0)),
+    ],
+    ids=["kk1-2", "square-2", "square-3"],
+)
+def test_proposition_bounds_cover_truth(route, k, exps):
+    truth = _poly_truth(CLOSED_FORMS[exps])
+    lhs, rhs = route(k)
+    assert _covers(lhs, truth)
+    assert _covers(rhs, truth)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_square_closed_form_bound_covers_truth(p):
+    poly = integer_square_closed_form(p)
+    assert _covers(poly.evaluate(1e-9), _poly_truth(poly))
+
+
+@pytest.mark.parametrize("exps", sorted(CLOSED_FORMS), ids=str)
+def test_zeta_polynomial_bound_covers_truth(exps):
+    # once as pinned, once with a constant term (the empty monomial)
+    for poly in (CLOSED_FORMS[exps], CLOSED_FORMS[exps] + ZetaPolynomial({(): Fraction(1, 3)})):
+        assert _covers(poly.evaluate(1e-9), _poly_truth(poly))

@@ -78,6 +78,10 @@ class TestZetaPolynomial:
         z3 = zeta(3.0, 1e-12)
         expected = 2.0 * z2.value - 0.5 * z2.value * z3.value
         assert abs(rep.value - expected) <= rep.abs_error_bound + 1e-11
+        # the empty monomial is the exact constant 1
+        const = _zp({(): (7, 3), (2,): 1}).evaluate(1e-10)
+        assert abs(const.value - (7.0 / 3.0 + z2.value)) <= const.abs_error_bound + 1e-11
+        assert _zp({(): 3}).evaluate(1e-10).value == 3.0
 
     def test_json_round_trip(self):
         p = _zp({(5,): (-11, 2), (2, 3): 3})
@@ -92,6 +96,8 @@ class TestZetaPolynomial:
 
     def test_str(self):
         assert str(_zp({(2, 3): 3, (5,): (-11, 2)})) == "3*zeta(2)*zeta(3) - 11/2*zeta(5)"
+        assert str(_zp({(): 3, (2,): 1})) == "3 + zeta(2)"
+        assert str(_zp({(): (-1, 2), (3,): -1})) == "-1/2 - zeta(3)"
 
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=60, deadline=None)
