@@ -203,10 +203,10 @@ def _cmd_formula(ns) -> int:
         print(formula.to_json())
     elif ns.fmt == "csv":
         rows = [
-            [str(t.coeff), json.dumps([list(b) for b in t.blocks]), t.last_offset]
+            [str(t.coeff), json.dumps([list(b) for b in t.blocks]), True]
             for t in formula.zeta_terms
         ]
-        rows.append([str(formula.product_coeff), "product", False])
+        rows.append(["-1", "product", False])
         print(_csv_table(("coeff", "blocks", "offset_last"), rows), end="")
     else:
         print(formula.render(symbols))

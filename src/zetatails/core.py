@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundError, DomainError
 
@@ -129,25 +129,23 @@ def converges(index: MzvIndex | Sequence[float]) -> bool:
     return True
 
 
+def _compositions(k: int) -> Iterator[tuple[int, ...]]:
+    """Every composition of k >= 0 as a tuple of parts, lexicographically."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in _compositions(k - first):
+            yield (first,) + rest
+
+
 def compositions(k: int) -> list[Composition]:
     """All 2**(k-1) compositions of k, lexicographically ordered by parts."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise BoundError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= MAX_K:
         raise BoundError(f"k must be in 1..{MAX_K}, got {k}")
-    out: list[Composition] = []
-
-    def emit(remaining: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(Composition(tuple(prefix)))
-            return
-        for part in range(1, remaining + 1):
-            prefix.append(part)
-            emit(remaining - part, prefix)
-            prefix.pop()
-
-    emit(k, [])
-    return out
+    return [Composition(parts) for parts in _compositions(k)]
 
 
 def multinomial(k: int, parts: Iterable[int]) -> int:

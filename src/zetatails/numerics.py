@@ -426,7 +426,8 @@ def _mzv_build(args: tuple[float, ...], pts: list[_PowerTail], n: int) -> tuple[
         e_prev = seed_err + esuf + rounding
         v_prev = v
     value = float(v_prev[0])
-    return value, float(e_prev[0]) * (1.0 + 1e-9) + 4.0 * _EPS * abs(value)
+    # _TINY keeps the bound positive when every term underflows to zero
+    return value, float(e_prev[0]) * (1.0 + 1e-9) + 4.0 * _EPS * abs(value) + _TINY
 
 
 def mzv(index: MzvIndex | Sequence[float], target_eps: float | None = None) -> EvalReport:
@@ -631,10 +632,8 @@ def _li_exp_small_t(q: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     err = np.zeros_like(t)
     max_abs = np.zeros_like(t)
     if is_int:
+        # q = 1 never gets here: _li_exp_neg serves it in closed form
         m = int(q_round)
-        if m == 1:
-            vals = -np.log(-np.expm1(-t))
-            return vals, 8.0 * _EPS * (np.abs(vals) + 1.0)
         h = math.fsum(1.0 / l for l in range(1, m))
         log_term = (-t) ** (m - 1) / math.factorial(m - 1) * (h - np.log(t))
         values = values + log_term

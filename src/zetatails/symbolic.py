@@ -14,10 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError
+from .core import _compositions
+from .errors import DomainError, PrecisionError
 from . import numerics
 
 Monomial = tuple[int, ...]
+
+#: An error target :func:`numerics.zeta` meets at every integer argument
+#: >= 2 it can evaluate at all; finer per-factor budgets are clamped to it.
+_ZETA_FLOOR = 5e-14
 
 
 def _nil_binom(p: int, q: int) -> int:
@@ -116,7 +121,8 @@ class ZetaPolynomial:
         return len({sum(m) for m in self._terms}) <= 1
 
     def evaluate(self, target_eps: float = numerics.DEFAULT_EPS) -> numerics.EvalReport:
-        """Numeric value with propagated error bound."""
+        """Numeric value with propagated error bound; raises
+        :class:`PrecisionError` when the bound exceeds ``target_eps``."""
         if not self._terms:
             return numerics.EvalReport(0.0, 0.0, 1)
         # Budget per single-zeta factor, weighted by coefficient size and a
@@ -125,11 +131,14 @@ class ZetaPolynomial:
             (len(m) + 1) * max(1.0, abs(float(c))) * 2.0 ** len(m)
             for m, c in self._terms.items()
         )
-        per = target_eps / (4.0 * scale)
-        return numerics.EvalReport.fsum(
+        per = max(target_eps / (4.0 * scale), _ZETA_FLOOR)
+        rep = numerics.EvalReport.fsum(
             coeff * numerics.EvalReport.prod(numerics.zeta(a, per) for a in mono)
             for mono, coeff in sorted(self._terms.items())
         )
+        if rep.abs_error_bound > target_eps:
+            raise PrecisionError(f"{self}: achieved bound {rep.abs_error_bound} > {target_eps}")
+        return rep
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items())
@@ -266,21 +275,11 @@ def sum_theorem_identity(n: int, k: int) -> tuple[list[IntegerIndex], ZetaPolyno
         raise DomainError(f"requires n > k >= 2, got n={n}, k={k}")
     if n > 10:
         raise DomainError(f"n is capped at 10, got {n}")
-    indices: list[IntegerIndex] = []
-
-    def emit(remaining: int, slots: int, prefix: list[int]) -> None:
-        if slots == 1:
-            prefix.append(remaining)
-            indices.append(IntegerIndex(tuple(prefix)))
-            prefix.pop()
-            return
-        lo = 2 if not prefix else 1
-        for part in range(lo, remaining - (slots - 1) + 1):
-            prefix.append(part)
-            emit(remaining - part, slots - 1, prefix)
-            prefix.pop()
-
-    emit(n, k, [])
+    indices = [
+        IntegerIndex(parts)
+        for parts in _compositions(n)
+        if len(parts) == k and parts[0] >= 2
+    ]
     return indices, ZetaPolynomial.single(n)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,17 +26,14 @@ from . import numerics
 from .numerics import EvalReport, MIN_GAP
 from .symbolic import ZetaPolynomial, reduce_double_odd
 
-_SYMBOLS = ("p", "q", "r", "s", "t", "u", "v", "w")
-
 
 @dataclass(frozen=True)
 class BlockTerm:
     """One grouped term: ordered blocks of positions, with the last block's
-    exponent sum lowered by one when ``last_offset`` is set."""
+    exponent sum lowered by one."""
 
     blocks: tuple[tuple[int, ...], ...]
     coeff: Fraction
-    last_offset: bool = True
 
     def __post_init__(self):
         if self.coeff == 0:
@@ -57,27 +54,20 @@ class BlockTerm:
     def arguments(self, exponents: Sequence[float]) -> tuple[float, ...]:
         """Instantiate the block sums at concrete exponent values."""
         args = [math.fsum(exponents[i - 1] for i in b) for b in self.blocks]
-        if self.last_offset:
-            args[-1] -= 1.0
+        args[-1] -= 1.0
         return tuple(args)
 
     def render(self, symbols: Sequence[str]) -> str:
-        parts = []
-        for pos, block in enumerate(self.blocks):
-            text = "+".join(symbols[i - 1] for i in block)
-            if self.last_offset and pos == len(self.blocks) - 1:
-                text += "-1"
-            parts.append(text)
-        return f"zeta({', '.join(parts)})"
+        parts = ["+".join(symbols[i - 1] for i in block) for block in self.blocks]
+        return f"zeta({', '.join(parts)}-1)"
 
 
 @dataclass(frozen=True)
 class TailFormula:
-    """Signed combination of grouped terms plus the subtracted product."""
+    """Combination of grouped terms minus the product of the single values."""
 
     k: int
     zeta_terms: tuple[BlockTerm, ...]
-    product_coeff: Fraction = field(default_factory=lambda: Fraction(-1))
 
     def instantiate(self, exponents: Sequence[float]) -> list[tuple[Fraction, tuple[float, ...]]]:
         exps = as_args(exponents)
@@ -92,9 +82,7 @@ class TailFormula:
             merged[args] = merged.get(args, Fraction(0)) + coeff
         return {a: c for a, c in merged.items() if c != 0}
 
-    def render(self, symbols: Sequence[str] | None = None) -> str:
-        if symbols is None:
-            symbols = _SYMBOLS[: self.k]
+    def render(self, symbols: Sequence[str]) -> str:
         if len(symbols) != self.k:
             raise DomainError(f"need {self.k} symbols, got {len(symbols)}")
         pieces = []
@@ -102,10 +90,7 @@ class TailFormula:
             body = term.render(symbols)
             pieces.append(body if term.coeff == 1 else f"{term.coeff}*{body}")
         product = "*".join(f"zeta({s})" for s in symbols)
-        lead = " + ".join(pieces)
-        if self.product_coeff == -1:
-            return f"{lead} - {product}"
-        return f"{lead} + {self.product_coeff}*{product}"
+        return f"{' + '.join(pieces)} - {product}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,19 +99,15 @@ class TailFormula:
                 {
                     "coeff": str(t.coeff),
                     "blocks": [list(b) for b in t.blocks],
-                    "offset_last": t.last_offset,
+                    "offset_last": True,
                 }
                 for t in self.zeta_terms
             ],
-            "product_coeff": str(self.product_coeff),
+            "product_coeff": "-1",
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def _term_sort_key(blocks: tuple[tuple[int, ...], ...]):
-    return (tuple(len(b) for b in blocks), blocks)
 
 
 def _ordered_set_partitions(positions: tuple[int, ...], sizes: Sequence[int]):
@@ -166,13 +147,11 @@ def tail_product_formula(exponents: ExponentList | Sequence[float]) -> TailFormu
         )
     positions = tuple(range(1, k + 1))
     one = Fraction(1)
-    keys = [
-        blocks
+    terms = tuple(
+        BlockTerm(blocks=blocks, coeff=one)
         for comp in compositions(k)
         for blocks in _ordered_set_partitions(positions, comp.parts)
-    ]
-    keys.sort(key=_term_sort_key)
-    terms = tuple(BlockTerm(blocks=key, coeff=one) for key in keys)
+    )
     return TailFormula(k=k, zeta_terms=terms)
 
 
@@ -190,7 +169,6 @@ def repeated_tail_formula(r: float, k: int) -> TailFormula:
     if not r > 1.0 + 1.0 / k:
         raise DomainError(f"requires r > 1 + 1/k = {1 + 1 / k}, got {r}")
     terms = []
-    start_blocks: list[tuple[tuple[int, ...], ...]] = []
     for comp in compositions(k):
         blocks = []
         start = 0
@@ -200,9 +178,7 @@ def repeated_tail_formula(r: float, k: int) -> TailFormula:
         terms.append(
             BlockTerm(blocks=tuple(blocks), coeff=Fraction(multinomial(k, comp.parts)))
         )
-        start_blocks.append(tuple(blocks))
-    order = sorted(range(len(terms)), key=lambda i: _term_sort_key(start_blocks[i]))
-    return TailFormula(k=k, zeta_terms=tuple(terms[i] for i in order))
+    return TailFormula(k=k, zeta_terms=tuple(terms))
 
 
 def evaluate_formula(
@@ -230,7 +206,9 @@ def evaluate_formula(
     ]
     z_eps = target_eps / (8.0 * max(1, formula.k) * 4.0)
     product = EvalReport.prod(numerics.zeta(p, z_eps) for p in exps)
-    return EvalReport.fsum(terms + [formula.product_coeff * product])
+    # scaled by -1, not negated, so the product's bound carries one rounding
+    # like every other scaled term
+    return EvalReport.fsum(terms + [-1 * product])
 
 
 def proposition_kk1(k: float, target_eps: float | None = None) -> tuple[EvalReport, EvalReport]:

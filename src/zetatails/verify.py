@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import numerics, symbolic, tails
-from .core import weak_ordering_count
+from .core import _compositions, weak_ordering_count
 from .numerics import EvalReport
 from .symbolic import IntegerIndex, ZetaPolynomial
 
@@ -80,21 +80,12 @@ def closed_form(exponents: tuple[float, ...]) -> ZetaPolynomial:
 
 def admissible_integer_indices(max_weight: int) -> list[IntegerIndex]:
     """Every integer index with first entry >= 2 and weight <= max_weight."""
-    out: list[IntegerIndex] = []
-
-    def emit(remaining: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(IntegerIndex(tuple(prefix)))
-            return
-        lo = 2 if not prefix else 1
-        for part in range(lo, remaining + 1):
-            prefix.append(part)
-            emit(remaining - part, prefix)
-            prefix.pop()
-
-    for w in range(2, max_weight + 1):
-        emit(w, [])
-    return out
+    return [
+        IntegerIndex(parts)
+        for w in range(2, max_weight + 1)
+        for parts in _compositions(w)
+        if parts[0] >= 2
+    ]
 
 
 def _product_case_checks() -> list[CheckResult]:

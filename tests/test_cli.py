@@ -1,9 +1,12 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import zetatails
 from zetatails import cli, verify
 from zetatails.verify import CheckResult
 
@@ -106,6 +109,54 @@ class TestSymbolicCommands:
         }
 
 
+#: sha256 of ``formula --exponents E --format F`` output, keyed by (E, F)
+FORMULA_DIGESTS = {
+    ("2.5", "json"): "16c119a5978eaec60f78549c9b169687a5b79a5a0df49af75d04fb62ea7f24ce",
+    ("2.5", "csv"): "f0f798cb001c7c127c0174de7657f75c4a3b1c2d3a536a933149cf3afbaf57c0",
+    ("2.5", "text"): "e07f8c599745621fea66304b3dbc9a12c8b849b3ab39b4049484be52b345591d",
+    ("2.5,3.0", "json"): "6468294c14fde81b2aa1dd9ec9e156d6400111663a38ff556e2433f1232faee1",
+    ("2.5,3.0", "csv"): "40438a2c88701037c12698ce732d0d86e87f395cad4e183a91d12c91a3680bc9",
+    ("2.5,3.0", "text"): "69a08529a277dc29df88cfb02e5bd3a26012e7a237d083a7305df39d10afbb34",
+    ("2.5,3.0,3.5", "json"): "cae328e158669928eb11acbd4cc42918b2dcaa998429e8ce7928646d24596975",
+    ("2.5,3.0,3.5", "csv"): "fb87df03ff718d5e1784722a459c61c18dda2361068630e6d334a64486a4beaf",
+    ("2.5,3.0,3.5", "text"): "76c222be6f9b4b155533023d5361349f59d0ab6e489ad97251163461bfa8cb64",
+    ("2.5,3.0,3.5,4.0", "json"): "0dbd0cebea15b5163b2a7fd0ee46566040b42ce7ad26c78c9c2c095843995a56",
+    ("2.5,3.0,3.5,4.0", "csv"): "39a1d0f72beb801683a04788aa59afbfb1f09205ac1edfb1dbc6e5023474e473",
+    ("2.5,3.0,3.5,4.0", "text"): "2a234feaf32064c1b9fa47b46d81a96f9631e3d712248cca97b2d44fced6ccc1",
+    ("2.5,3.0,3.5,4.0,4.5", "json"): "c7b413c4faf98143d5b71ac45d266dd2b0978d403b841807499a9397895f414f",
+    ("2.5,3.0,3.5,4.0,4.5", "csv"): "22cf3c87d64acec6b76b3f0f035db8ecd8c68973de5925057e1609bbd2068dc8",
+    ("2.5,3.0,3.5,4.0,4.5", "text"): "8d1fc484c3d58cbff6216adafd6e0b24855a9d0fc7c8cbaba23e125e5f97770b",
+    ("2.5,3.0,3.5,4.0,4.5,5.0", "json"): "99f896934a66bd4bf9b66f19f07a275608cc7a37cc49781292ea68b66c6cf9ef",
+    ("2.5,3.0,3.5,4.0,4.5,5.0", "csv"): "7163ab4667684c7b11bbf41045b5684b590a1ac3ed9559226d9a129d1848c999",
+    ("2.5,3.0,3.5,4.0,4.5,5.0", "text"): "b5c02a657f3bf5fa5e088867f89d1431f5bf8809a37fff1815cbcff358ce662f",
+    ("p,q", "json"): "6468294c14fde81b2aa1dd9ec9e156d6400111663a38ff556e2433f1232faee1",
+    ("p,q", "csv"): "40438a2c88701037c12698ce732d0d86e87f395cad4e183a91d12c91a3680bc9",
+    ("p,q", "text"): "7d719bc5315342a0f2c2aad5929a460c20dadd0f81b1a04d11ae0e2374b4b2d2",
+    ("p,q,r", "json"): "cae328e158669928eb11acbd4cc42918b2dcaa998429e8ce7928646d24596975",
+    ("p,q,r", "csv"): "fb87df03ff718d5e1784722a459c61c18dda2361068630e6d334a64486a4beaf",
+    ("p,q,r", "text"): "4f2e3c10cb9ba93c68cc84b262c4ebd6e435e6be6705783d1e3f1d696b0cbd69",
+    ("p,q,r,s", "json"): "0dbd0cebea15b5163b2a7fd0ee46566040b42ce7ad26c78c9c2c095843995a56",
+    ("p,q,r,s", "csv"): "39a1d0f72beb801683a04788aa59afbfb1f09205ac1edfb1dbc6e5023474e473",
+    ("p,q,r,s", "text"): "dd0bd4415303b7aa8d425028044e96204a8c1053eaca3473313e546bde7c120b",
+    ("p,q,r,s,t", "json"): "c7b413c4faf98143d5b71ac45d266dd2b0978d403b841807499a9397895f414f",
+    ("p,q,r,s,t", "csv"): "22cf3c87d64acec6b76b3f0f035db8ecd8c68973de5925057e1609bbd2068dc8",
+    ("p,q,r,s,t", "text"): "5c40aed7a6070dce90e599ff342abcf6a525f16149348172dc5fbd91c2d9f65b",
+    ("p,q,r,s,t,u", "json"): "99f896934a66bd4bf9b66f19f07a275608cc7a37cc49781292ea68b66c6cf9ef",
+    ("p,q,r,s,t,u", "csv"): "7163ab4667684c7b11bbf41045b5684b590a1ac3ed9559226d9a129d1848c999",
+    ("p,q,r,s,t,u", "text"): "53d14239edb28b3372f23ae452404b68a1c98c547f2608b407801234a5cab7cf",
+}
+
+
+class TestFormulaBytes:
+    """The formula output is pinned byte for byte, numeric and symbolic."""
+
+    @pytest.mark.parametrize("exponents,fmt", sorted(FORMULA_DIGESTS), ids=str)
+    def test_formula_output_is_pinned(self, capsys, exponents, fmt):
+        code, out, _ = run_cli(capsys, "formula", "--exponents", exponents, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FORMULA_DIGESTS[exponents, fmt]
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "zeta", "--bogus", "2")
@@ -184,10 +235,15 @@ class TestVerifyCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the package from where this process found it,
+        # which pytest's own pythonpath setting does not pass on
+        src = os.path.dirname(os.path.dirname(zetatails.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "zetatails.cli", "dual", "--args", "2,1,2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2,3"

@@ -413,6 +413,11 @@ class TestHugeExponents:
         with pytest.raises((DomainError, PrecisionError)):
             route(*args)
 
+    def test_underflowed_mzv_keeps_a_positive_bound(self):
+        # every term lies below the smallest subnormal, so the value rounds to 0
+        rep = mzv((1e60, 1.0))
+        assert rep.value == 0.0 and rep.abs_error_bound > 0.0
+
     def test_zeta_still_served_below_overflow(self):
         # 4 * remainder coefficient / eps overflows here, the cutoff does not
         rep = zeta(1e61)

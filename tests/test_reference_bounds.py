@@ -137,3 +137,19 @@ def test_zeta_polynomial_bound_covers_truth(exps):
     # once as pinned, once with a constant term (the empty monomial)
     for poly in (CLOSED_FORMS[exps], CLOSED_FORMS[exps] + ZetaPolynomial({(): Fraction(1, 3)})):
         assert _covers(poly.evaluate(1e-9), _poly_truth(poly))
+
+
+# a target whose unclamped per-factor budget lies below what zeta can reach
+@pytest.mark.parametrize("exps", sorted(CLOSED_FORMS), ids=str)
+def test_zeta_polynomial_fine_target_covers_truth(exps):
+    rep = CLOSED_FORMS[exps].evaluate(1e-11)
+    assert rep.abs_error_bound <= 1e-11
+    assert _covers(rep, _poly_truth(CLOSED_FORMS[exps]))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_square_closed_form_fine_target_covers_truth(p):
+    poly = integer_square_closed_form(p)
+    rep = poly.evaluate(1e-11)
+    assert rep.abs_error_bound <= 1e-11
+    assert _covers(rep, _poly_truth(poly))

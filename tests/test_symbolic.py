@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -21,6 +22,16 @@ from zetatails import (
 from zetatails.verify import admissible_integer_indices
 
 F = Fraction
+
+
+def _filtered_product(n, depth):
+    """Integer indices of weight n and the given depth with first entry >= 2,
+    by filtering a Cartesian power; lexicographic like itertools.product."""
+    return [
+        t
+        for t in itertools.product(range(1, n - depth + 2), repeat=depth)
+        if sum(t) == n and t[0] >= 2
+    ]
 
 
 def _zp(terms):
@@ -206,6 +217,11 @@ class TestSumTheorem:
             indices, _ = sum_theorem_identity(n, 2)
             assert len(indices) == n - 2
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 11) for k in range(2, n)])
+    def test_matches_filtered_product(self, n, k):
+        indices, _ = sum_theorem_identity(n, k)
+        assert [idx.args for idx in indices] == _filtered_product(n, k)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sum_theorem_identity(3, 3)
@@ -213,6 +229,17 @@ class TestSumTheorem:
             sum_theorem_identity(11, 2)
         with pytest.raises(DomainError):
             sum_theorem_identity(4, 1)
+
+
+class TestAdmissibleIntegerIndices:
+    def test_matches_filtered_product(self):
+        # by weight, then lexicographically within one weight
+        expected = [
+            t
+            for w in range(2, 9)
+            for t in sorted(t for d in range(1, w) for t in _filtered_product(w, d))
+        ]
+        assert [idx.args for idx in admissible_integer_indices(8)] == expected
 
 
 class TestBinomRelation:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -10,6 +12,7 @@ from zetatails import (
     BlockTerm,
     BoundError,
     DomainError,
+    PrecisionError,
     ZetaPolynomial,
     brute_tail_product_sum,
     converges,
@@ -18,6 +21,7 @@ from zetatails import (
     mzv,
     proposition_kk1,
     proposition_square,
+    TailFormula,
     repeated_tail_formula,
     tail_product_formula,
     weak_ordering_count,
@@ -25,6 +29,21 @@ from zetatails import (
 )
 
 F = Fraction
+
+#: sha256 of ``repeated_tail_formula(2.0, k).to_json()``, keyed by k
+REPEATED_DIGESTS = {
+    2: "dfc3d16e1df2e3d67106881a84dee60b7fa3be8ec353de5810a2a40279966984",
+    3: "148c583d8e60046e3f95d0937b594d36b785551ee5f3125d7fb742a5740c92a1",
+    4: "e446fdd1256a787731800209a5d099fb7276bd6d32d4854fae917f92243a941e",
+    5: "b21dd68a74947ffd26372d1c0b79bc019f29c7e635a65e9914b4faf4b008fd10",
+    6: "9d6b096ddcda33c30f4d1f7dc9b0eaa4b2a660568c37e304dbefba781f36a07a",
+}
+
+
+def _in_canonical_order(formula):
+    """Terms sorted by their block sizes (the composition), then by blocks."""
+    keys = [(tuple(len(b) for b in t.blocks), t.blocks) for t in formula.zeta_terms]
+    return keys == sorted(keys)
 
 
 class TestBlockTerm:
@@ -45,6 +64,11 @@ class TestBlockTerm:
     def test_render(self):
         term = BlockTerm(blocks=((2,), (1, 3)), coeff=F(1))
         assert term.render(("p", "q", "r")) == "zeta(q, p+r-1)"
+
+    def test_fields_are_only_what_varies(self):
+        # the last-block offset and the product's -1 are fixed by the identity
+        assert [f.name for f in dataclasses.fields(BlockTerm)] == ["blocks", "coeff"]
+        assert [f.name for f in dataclasses.fields(TailFormula)] == ["k", "zeta_terms"]
 
 
 class TestTailProductFormula:
@@ -163,6 +187,10 @@ class TestTailProductFormula:
         }
         assert all(t["offset_last"] is True for t in data["terms"])
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_terms_come_out_in_canonical_order(self, k):
+        assert _in_canonical_order(tail_product_formula((2.5,) * k))
+
 
 class TestRepeatedTailFormula:
     def test_r2_k2(self):
@@ -184,6 +212,15 @@ class TestRepeatedTailFormula:
         f = repeated_tail_formula(2.0, 4)
         coeffs = sorted(int(t.coeff) for t in f.zeta_terms)
         assert coeffs == [1, 4, 4, 6, 12, 12, 12, 24]
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_terms_come_out_in_canonical_order(self, k):
+        assert _in_canonical_order(repeated_tail_formula(2.0, k))
+
+    @pytest.mark.parametrize("k", sorted(REPEATED_DIGESTS))
+    def test_json_is_pinned(self, k):
+        text = repeated_tail_formula(2.0, k).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == REPEATED_DIGESTS[k]
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_specialisation_consistency(self, k):
@@ -330,6 +367,11 @@ class TestIntegerSquareClosedForm:
         assert poly.coefficient((2 * p - 1,)) == (-1) ** p * math.comb(2 * p - 1, p)
         expected_mixed = 0 if p % 2 == 0 else 2 * p
         assert poly.coefficient((p - 1, p)) == expected_mixed
+
+    def test_unreachable_target_is_refused(self):
+        # the clamped per-factor budget leaves a bound of about 1.55e-11
+        with pytest.raises(PrecisionError):
+            integer_square_closed_form(6).evaluate(1e-11)
 
     def test_domain(self):
         with pytest.raises(DomainError):
