@@ -192,8 +192,9 @@ def _cmd_formula(ns) -> int:
     if symbolic_mode:
         if len(set(tokens)) != len(tokens):
             raise DomainError("symbolic exponents must be distinct")
-        # Generate at placeholder values; the block structure is symbolic.
-        values = tuple(2.0 + i for i in range(len(tokens)))
+        # Generate at placeholder values that meet the sum hypothesis at
+        # every arity; the block structure is symbolic.
+        values = (3.0,) * len(tokens)
         symbols = tokens
     else:
         values = tuple(float(tok) for tok in tokens)

@@ -28,7 +28,10 @@ same machinery accelerates the outer sum of a product of tails.
 The double-series integral representation is integrated by adaptive
 Gauss-Legendre panels on a geometrically graded mesh; near t = 0 the factor
 Li_q(e^(-t)) is produced from its |t| < 2*pi expansion because e^(-t) is
-indistinguishable from 1 in double precision there.
+indistinguishable from 1 in double precision there.  For t >= 0.5, and for
+the public :func:`polylog`, the series sum_m x^m m^(-q) is summed directly by
+one kernel that forms its terms a block at a time and keeps only per-block
+sums.
 """
 
 from __future__ import annotations
@@ -189,14 +192,15 @@ def _pt_make(terms: list[tuple[float, float]], rem_coef: float, rem_exp: float) 
 
 
 def _zeta_tail_pt(beta: float) -> _PowerTail:
-    """Expansion of sum_{i>m} i^(-beta), beta > 1."""
+    """Expansion of sum_{i>m} i^(-beta), beta > 1; also the continuation
+    across the critical strip in :func:`_zeta_line`, hence the abs below."""
     terms = [
         (1.0 / (beta - 1.0), beta - 1.0),
         (-0.5, beta),
         (beta / 12.0, beta + 1.0),
         (-beta * (beta + 1.0) * (beta + 2.0) / 720.0, beta + 3.0),
     ]
-    rc = beta * (beta + 1.0) * (beta + 2.0) * (beta + 3.0) * (beta + 4.0) / 30240.0
+    rc = abs(beta * (beta + 1.0) * (beta + 2.0) * (beta + 3.0) * (beta + 4.0)) / 30240.0
     return _pt_make(terms, rc, beta + 5.0)
 
 
@@ -340,38 +344,68 @@ def tail(p: float, n: int, target_eps: float = DEFAULT_EPS) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
+#: First and largest number of terms the direct polylog series forms at once.
+_LI_BLOCK_MIN = 16
+_LI_BLOCK_MAX = 4096
+
+
+def _li_series(
+    q: float, x: np.ndarray, tol: float, name: Callable[[], str]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Li_q(x) = sum_{m>=1} x^m m^(-q) summed directly, for each x of a 1-D
+    array in (0, 1); returns (values, error bounds, number of terms m).
+
+    Terms come in blocks, each from two pow calls (a couple of ulp each),
+    never from a running product, so the per-term float error stays a small
+    multiple of eps.  Summation stops at the first m at which, for every x,
+    the term ratio past m is provably some rho < 1 and the geometric
+    majorant term_(m+1) / (1 - rho) of the rest is at most ``tol``.
+    ``name()``, what was asked for, starts the error messages.
+    """
+    growth = max(0.0, -q)
+    col = x[:, None]
+    block_sums: list[list[float]] = []
+    m0, size = 1, _LI_BLOCK_MIN
+    while True:
+        ms = np.arange(m0, m0 + size + 1.0)  # one past the block: the next term
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            terms = np.power(col, ms) * np.power(ms, -q)
+            rho = col * np.power(ms[1:] / ms[:-1], growth)
+            geo = terms[:, 1:] / (1.0 - rho)
+        if not np.isfinite(terms).all():
+            raise PrecisionError(f"{name()} not reached: a term overflows double precision")
+        stops = np.flatnonzero(np.all((rho < 1.0) & (geo <= tol), axis=0))
+        used = int(stops[0]) + 1 if stops.size else size
+        block_sums.append([math.fsum(row) for row in terms[:, :used].tolist()])
+        if stops.size:
+            break
+        m0 += size
+        if m0 > _MAX_SERIES_TERMS:
+            raise PrecisionError(f"{name()} not reached after {_MAX_SERIES_TERMS} terms")
+        size = min(2 * size, _LI_BLOCK_MAX, _MAX_SERIES_TERMS - m0 + 1)
+    values = np.array([math.fsum(row) for row in zip(*block_sums)])
+    # Every term is positive, so the sum of their magnitudes is the value:
+    # 6 eps per term covers the two pows and their product, 2 eps the block
+    # sums and their sum.
+    return values, geo[:, used - 1] + 8.0 * _EPS * values, m0 + used - 1
+
+
 def polylog(q: float, x: float, target_eps: float = DEFAULT_EPS) -> EvalReport:
     """Li_q(x) = sum_{j>=1} x^j / j^q for 0 < x < 1 and any real q.
 
-    Straight summation; once the term ratio is provably below 1 the
-    geometric majorant of the remaining terms is used as stopping bound.
+    Straight summation by :func:`_li_series`; once the term ratio is
+    provably below 1 the geometric majorant of the remaining terms is used
+    as stopping bound.
     """
     q = float(q)
     x = float(x)
     _check_eps(target_eps)
     if not (0.0 < x < 1.0):
         raise DomainError(f"polylog requires 0 < x < 1, got {x}")
-    growth = max(0.0, -q)
-    terms: list[float] = []
-    m = 0
-    while True:
-        m += 1
-        # both powers via libm pow (a couple of ulp each), never a running
-        # product, so the per-term float error stays a small multiple of eps
-        terms.append(x**m * m ** (-q))
-        rho = x * ((m + 1.0) / m) ** growth
-        if rho < 1.0:
-            nxt = x ** (m + 1) * (m + 1.0) ** (-q)
-            geo = nxt / (1.0 - rho)
-            if geo <= 0.5 * target_eps:
-                break
-        if m >= 10_000_000:
-            raise PrecisionError(
-                f"polylog({q},{x}): {target_eps} not reached after {m} terms"
-            )
-    value = math.fsum(terms)
-    abs_sum = math.fsum(abs(t) for t in terms)
-    bound = geo + _EPS * (6.0 * abs_sum + 2.0 * abs(value))
+    values, bounds, m = _li_series(
+        q, np.array([x]), 0.5 * target_eps, lambda: f"polylog({q},{x}): {target_eps}"
+    )
+    value, bound = float(values[0]), float(bounds[0])
     if bound > target_eps:
         raise PrecisionError(f"polylog({q},{x}): bound {bound} > {target_eps}")
     return EvalReport(value, bound, m)
@@ -380,6 +414,28 @@ def polylog(q: float, x: float, target_eps: float = DEFAULT_EPS) -> EvalReport:
 # ---------------------------------------------------------------------------
 # Nested zeta series with real arguments
 # ---------------------------------------------------------------------------
+
+
+def _double_cutoff(
+    build: Callable[[int], tuple[float, float]],
+    n: int,
+    n_max: int,
+    target_eps: float,
+    name: Callable[[], str],
+) -> tuple[float, float, int]:
+    """(value, bound, n) of ``build(n)`` at the first cutoff n, doubled from
+    its start up to ``n_max``, whose bound meets ``target_eps``; ``name()``
+    starts the error messages."""
+    best = math.inf
+    while n <= n_max:
+        value, bound = build(n)
+        if not math.isfinite(bound):
+            raise PrecisionError(f"{name()}: bound is not finite at cutoff {n}")
+        if bound <= target_eps:
+            return value, bound, n
+        best = min(best, bound)
+        n *= 2
+    raise PrecisionError(f"{name()}: best bound {best:.3e} > target {target_eps:.3e}")
 
 
 def _require_margins(args: tuple[float, ...]) -> None:
@@ -449,20 +505,10 @@ def mzv(index: MzvIndex | Sequence[float], target_eps: float | None = None) -> E
     if target_eps < 1e-10:
         raise DomainError(f"target_eps below 1e-10 is not supported, got {target_eps}")
     pts = _mzv_expansions(args)
-    best: tuple[float, float, int] | None = None
-    n = 64
-    while n <= 2**19:
-        value, bound = _mzv_build(args, pts, n)
-        if not math.isfinite(bound):
-            raise PrecisionError(f"mzv{args}: bound is not finite at cutoff {n}")
-        if best is None or bound < best[1]:
-            best = (value, bound, n)
-        if bound <= target_eps:
-            return EvalReport(value, bound, k * n)
-        n *= 2
-    raise PrecisionError(
-        f"mzv{args}: best bound {best[1]:.3e} > target {target_eps:.3e}"
+    value, bound, n = _double_cutoff(
+        lambda n: _mzv_build(args, pts, n), 64, 2**19, target_eps, lambda: f"mzv{args}"
     )
+    return EvalReport(value, bound, k * n)
 
 
 # ---------------------------------------------------------------------------
@@ -527,31 +573,21 @@ def brute_tail_product_sum(
     pts = [_zeta_tail_pt(p) for p in exps]
     prod_pt = reduce(_pt_multiply, pts)
     tail_pt = _pt_convolve(prod_pt, 0.0)
-    best: tuple[float, float, int] | None = None
-    n = 256
-    while n <= 2**22:
-        value, bound = _brute_build(exps, pts, tail_pt, n)
-        if not math.isfinite(bound):
-            raise PrecisionError(
-                f"brute_tail_product_sum{exps}: bound is not finite at cutoff {n}"
-            )
-        if best is None or bound < best[1]:
-            best = (value, bound, n)
-        if bound <= target_eps:
-            return EvalReport(value, bound, n)
-        n *= 2
-    raise PrecisionError(
-        f"brute_tail_product_sum{exps}: best bound {best[1]:.3e} > {target_eps:.3e}"
+    value, bound, n = _double_cutoff(
+        lambda n: _brute_build(exps, pts, tail_pt, n),
+        256,
+        2**22,
+        target_eps,
+        lambda: f"brute_tail_product_sum{exps}",
     )
+    return EvalReport(value, bound, n)
 
 
 # ---------------------------------------------------------------------------
 # Zeta on the real line (internal, for the polylog expansion near 1)
 # ---------------------------------------------------------------------------
 
-_ZETA_LINE_CACHE: dict[float, tuple[float, float]] = {}
-
-
+@lru_cache(maxsize=8192)
 def _zeta_line(s: float) -> tuple[float, float]:
     """(value, bound) for zeta at any real s != 1.
 
@@ -561,40 +597,25 @@ def _zeta_line(s: float) -> tuple[float, float]:
     remainder bound for s > -5.  Further left the reflection formula maps
     back to arguments >= 2.5.
     """
-    cached = _ZETA_LINE_CACHE.get(s)
-    if cached is not None:
-        return cached
     if s > 1.5:
         rep = _zeta_cached(s, 1e-12)
-        out = (rep.value, rep.abs_error_bound)
-    elif s >= -0.5:
-        n = 64
-        partial = math.fsum(i ** (-s) for i in range(1, n + 1))
-        corr = [
-            n ** (1.0 - s) / (s - 1.0),
-            -0.5 * n ** (-s),
-            s / 12.0 * n ** (-s - 1.0),
-            -s * (s + 1.0) * (s + 2.0) / 720.0 * n ** (-s - 3.0),
-        ]
-        value = partial + math.fsum(corr)
-        rem = abs(s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0)) / 30240.0 * n ** (
-            -s - 5.0
-        )
-        scale = abs(partial) + math.fsum(abs(c) for c in corr)
-        out = (value, rem + (n + 8.0) * _EPS * scale)
-    else:
-        # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
-        zv, zb = _zeta_line(1.0 - s)
-        log_amp = s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + math.lgamma(1.0 - s)
-        amp = math.exp(log_amp)
-        sin_val = math.sin(math.pi * s / 2.0)
-        value = amp * sin_val * zv
-        # sin suffers absolute error ~ eps * |pi s / 2| from argument reduction
-        sin_err = 2.0 * _EPS * (abs(math.pi * s / 2.0) + 1.0)
-        bound = amp * (abs(sin_val) * (zb + 8.0 * _EPS * abs(zv)) + sin_err * abs(zv))
-        out = (value, bound * 1.01 + 4.0 * _EPS * abs(value))
-    _ZETA_LINE_CACHE[s] = out
-    return out
+        return rep.value, rep.abs_error_bound
+    if s >= -0.5:
+        # 64 positive terms, each pow within an ulp, and one fsum: 2 eps of
+        # the partial sum; the expansion's own rounding is in tb
+        partial = math.fsum(i ** (-s) for i in range(1, 65))
+        tv, tb = _pt_eval(_zeta_tail_pt(s), 64)
+        return partial + tv, tb + 4.0 * _EPS * (abs(partial) + abs(tv))
+    # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
+    zv, zb = _zeta_line(1.0 - s)
+    log_amp = s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + math.lgamma(1.0 - s)
+    amp = math.exp(log_amp)
+    sin_val = math.sin(math.pi * s / 2.0)
+    value = amp * sin_val * zv
+    # sin suffers absolute error ~ eps * |pi s / 2| from argument reduction
+    sin_err = 2.0 * _EPS * (abs(math.pi * s / 2.0) + 1.0)
+    bound = amp * (abs(sin_val) * (zb + 8.0 * _EPS * abs(zv)) + sin_err * abs(zv))
+    return value, bound * 1.01 + 4.0 * _EPS * abs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -666,40 +687,14 @@ def _li_exp_small_t(q: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, err
 
 
-def _li_exp_direct(q: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Li_q(e^-t) for t >= 0.5 by direct series in x = e^-t <= e^-0.5."""
-    x = np.exp(-t)
-    growth = max(0.0, -q)
-    values = np.zeros_like(t)
-    abssum = np.zeros_like(t)
-    power = x.copy()
-    m = 1
-    while True:
-        term = power * m ** (-q)
-        values = values + term
-        abssum = abssum + np.abs(term)
-        rho = float(np.max(x)) * ((m + 1.0) / m) ** growth
-        power = power * x
-        geo = power * (m + 1.0) ** (-q)
-        if rho < 1.0:
-            bound = geo / (1.0 - rho)
-            if np.all(bound <= 1e-18 * (1.0 + np.abs(values))):
-                break
-        m += 1
-        if m > 4000:
-            bound = geo / max(1e-3, (1.0 - rho))
-            break
-    err = bound + (m + 4.0) * _EPS * abssum
-    return values, err
-
-
 def _li_exp_neg(q: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if abs(q - round(q)) < 1e-9 and round(q) == 1:
         vals = -np.log(-np.expm1(-t))
         return vals, 8.0 * _EPS * (np.abs(vals) + 1.0)
     if float(np.max(t)) <= _LI_SMALL_T + 1e-12:
         return _li_exp_small_t(q, t)
-    return _li_exp_direct(q, t)
+    values, bounds, _ = _li_series(q, np.exp(-t), 1e-18, lambda: f"Li_{q}(e^-t): 1e-18")
+    return values, bounds
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,15 @@ class TestSymbolicCommands:
         line = out.strip()
         assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
 
+    def test_formula_single_symbol(self, capsys):
+        code, out, _ = run_cli(capsys, "formula", "--exponents", "p")
+        assert code == 0
+        assert out.strip() == "zeta(p-1) - zeta(p)"
+        code, symbolic_json, _ = run_cli(capsys, "formula", "--exponents", "p", "--format", "json")
+        assert code == 0
+        _, numeric_json, _ = run_cli(capsys, "formula", "--exponents", "2.5", "--format", "json")
+        assert symbolic_json == numeric_json
+
     def test_formula_duplicate_symbols(self, capsys):
         code, _, err = run_cli(capsys, "formula", "--exponents", "p,p")
         assert code == 2
@@ -155,6 +164,36 @@ class TestFormulaBytes:
         code, out, _ = run_cli(capsys, "formula", "--exponents", exponents, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == FORMULA_DIGESTS[exponents, fmt]
+
+
+#: sha256 of ``tail-sum --exponents E --brute --format json`` output, keyed by
+#: the exponent lists of ``verify.PRODUCT_CASES``
+TAIL_SUM_DIGESTS = {
+    "2.0,2.0": "180d445ecc85b663fddae3de35021f61cd6d7ad52c236827582eaacf6a9d318b",
+    "3.0,2.0": "028a9388c7620bc377334cd7446d6626a00f4195d49dfd0c3e63433a26a88777",
+    "4.0,3.0": "398446b541364234d60631f5a33021ebc54055dc6fcc5bdaa0fb27fd4fbfd3fb",
+    "3.0,3.0": "0ffe31a47ed4b0711eef79cb0277bb104ccea12168a74022a574b08e45b38c42",
+    "2.0,2.0,2.0": "3c72d6cb20b957ea99d7d893395852f9d41b4305b7975c5c5c55fcbe7f6ba77e",
+    "3.0,2.0,2.0": "e9e09f38fc36a7c1324726362af9147615923b4da65ccfdd53e1083c00847ecf",
+    "3.0,3.0,2.0": "b05145b65b4226189723aee4c9cb3aff416b9edd61667be26572e9de26fee225",
+    "2.0,2.0,2.0,2.0": "cebdb18d59d26b0ecebad627c0ccdce2162e927bca252f32bc7743b0a5f3f085",
+}
+
+
+class TestTailSumBytes:
+    """The brute-checked tail sums of the worked product cases are pinned."""
+
+    def test_every_product_case_is_pinned(self):
+        cases = {",".join(map(repr, exps)) for exps, _, _ in verify.PRODUCT_CASES}
+        assert cases == set(TAIL_SUM_DIGESTS)
+
+    @pytest.mark.parametrize("exponents", sorted(TAIL_SUM_DIGESTS))
+    def test_tail_sum_output_is_pinned(self, capsys, exponents):
+        code, out, _ = run_cli(
+            capsys, "tail-sum", "--exponents", exponents, "--brute", "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TAIL_SUM_DIGESTS[exponents]
 
 
 class TestExitCodes:

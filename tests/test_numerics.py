@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetatails
 from zetatails import (
     DepthError,
     DomainError,
@@ -125,6 +129,39 @@ class TestPolylog:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             polylog(2.0, x)
+
+    def test_term_cap(self):
+        with pytest.raises(PrecisionError, match=r"1e-09 not reached after 10000000 terms"):
+            polylog(2.0, 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("q,x", [(-400.0, 0.5), (-150.0, 0.5), (-1e6, 0.1)])
+    def test_overflowing_terms_are_refused(self, q, x):
+        with pytest.raises(PrecisionError, match="overflows"):
+            polylog(q, x)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    def test_near_one_sums_in_bounded_memory(self):
+        # millions of terms, summed block by block rather than kept in a list;
+        # a fresh interpreter reports its own peak resident set
+        script = (
+            "import zetatails\n"
+            "rep = zetatails.polylog(2.0, 0.999999)\n"
+            "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM'))\n"
+            "print(rep.terms_used, rep.abs_error_bound, int(hwm.split()[1]) // 1024)\n"
+        )
+        src = os.path.dirname(os.path.dirname(zetatails.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        terms, bound, peak_mb = proc.stdout.split()
+        assert int(terms) == 4564348
+        assert float(bound) <= 1e-9
+        assert int(peak_mb) < 64
 
 
 class TestMzv:
@@ -350,13 +387,33 @@ class TestInternalLine:
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 0.5, -0.7])
     def test_polylog_exp_branches_agree_at_switch(self, q):
         # expansion around t = 0 against the direct series in e^-t
-        from zetatails.numerics import _li_exp_direct, _li_exp_small_t
+        from zetatails.numerics import _li_exp_small_t, _li_series
 
         t = np.array([0.499999, 0.5])
         v_small, e_small = _li_exp_small_t(q, t)
-        v_dir, e_dir = _li_exp_direct(q, t)
+        v_dir, e_dir, _ = _li_series(q, np.exp(-t), 1e-18, lambda: "switch")
         gap = float(np.max(np.abs(v_small - v_dir)))
         assert gap <= float(np.max(e_small) + np.max(e_dir)) + 1e-14
+
+    @pytest.mark.parametrize("q", [-1.3, 0.6, 3.7])
+    def test_quadrature_polylog_matches_public_polylog(self, q):
+        # the quadrature's array branch for t >= 0.5 against scalar polylog
+        from zetatails.numerics import _li_exp_neg
+
+        t = np.linspace(0.5, 8.0, 16)
+        values, bounds = _li_exp_neg(q, t)
+        for x, v, b in zip(np.exp(-t), values, bounds):
+            rep = polylog(q, float(x), 1e-12)
+            assert abs(v - rep.value) <= b + rep.abs_error_bound
+
+    def test_zeta_line_cache_is_bounded(self):
+        from zetatails.numerics import _zeta_line
+
+        maxsize = _zeta_line.cache_info().maxsize
+        assert maxsize is not None
+        for s in np.linspace(-0.45, 0.95, maxsize + 100):
+            _zeta_line(float(s))
+        assert _zeta_line.cache_info().currsize <= maxsize
 
 
 class TestErrorBoundHonesty:

@@ -5,6 +5,8 @@ reference value.  These tests guard the error model itself, which the
 pure-identity tests cannot see; they are skipped when mpmath is absent.
 """
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 from zetatails import (  # noqa: E402
+    PrecisionError,
     ZetaPolynomial,
     evaluate_formula,
     integer_square_closed_form,
@@ -64,11 +67,29 @@ def test_tail_bound_covers_truth(p, n):
 
 
 @pytest.mark.parametrize("q", [-1.5, -0.5, 0.5, 1.0, 2.0, 3.7])
-@pytest.mark.parametrize("x,eps", [(0.1, 1e-11), (0.5, 1e-11), (0.9, 1e-11), (0.99, 1e-9)])
+@pytest.mark.parametrize(
+    "x,eps",
+    [(0.1, 1e-11), (0.5, 1e-11), (0.9, 1e-11), (0.99, 1e-9), (math.exp(-1e-4), 1e-9)],
+)
 def test_polylog_bound_covers_truth(q, x, eps):
+    truth = mp.polylog(mp.mpf(q), mp.mpf(x))
+    if 8 * sys.float_info.epsilon * truth > eps:
+        # the rounding charge of the summed terms alone exceeds the target
+        with pytest.raises(PrecisionError):
+            polylog(q, x, eps)
+        return
     rep = polylog(q, x, eps)
-    err = abs(rep.value - float(mp.polylog(mp.mpf(q), mp.mpf(x))))
+    err = abs(rep.value - float(truth))
     assert err <= rep.abs_error_bound + 5e-16
+
+
+@pytest.mark.parametrize("s", [-3.3, -1.5, -0.455, -0.2, 0.3, 0.98, 1.02, 1.3, 1.49])
+def test_zeta_line_bound_covers_truth(s):
+    # the continuation across the strip and the reflection left of it
+    from zetatails.numerics import _zeta_line
+
+    value, bound = _zeta_line(s)
+    assert abs(value - float(_z(s))) <= bound
 
 
 @pytest.mark.parametrize("args", sorted(MZV_TRUTHS), ids=str)
