@@ -11,7 +11,6 @@ from .core import (
     Composition,
     ExponentList,
     MzvIndex,
-    Rational,
     compositions,
     converges,
     multinomial,
@@ -29,11 +28,8 @@ from .numerics import (
 )
 from .symbolic import (
     IntegerIndex,
-    ProductIdentity,
     ZetaPolynomial,
-    binom_relation,
     duality,
-    product_relation,
     reduce_double_odd,
     reduce_n1,
     sum_theorem_identity,
@@ -60,11 +56,8 @@ __all__ = [
     "IntegerIndex",
     "MzvIndex",
     "PrecisionError",
-    "ProductIdentity",
-    "Rational",
     "TailFormula",
     "ZetaPolynomial",
-    "binom_relation",
     "brute_tail_product_sum",
     "compositions",
     "converges",
@@ -75,7 +68,6 @@ __all__ = [
     "mzv",
     "mzv_integral",
     "polylog",
-    "product_relation",
     "proposition_kk1",
     "proposition_square",
     "reduce_double_odd",

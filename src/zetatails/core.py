@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundError, DomainError
-
-# Exact rational coefficients.  fractions.Fraction already keeps values
-# reduced with a positive denominator and arbitrary-size integers.
-Rational = Fraction
 
 #: Largest supported arity for composition / formula enumeration.  At k = 8
 #: a formula already has Fubini(8) + 1 = 545836 terms.

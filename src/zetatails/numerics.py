@@ -25,8 +25,10 @@ tail functions level by level (outermost argument first) with the exact
 values kept on an array 1..N and the expansion taking over past N.  The
 same machinery accelerates the outer sum of a product of tails.
 
-The double-series integral representation is integrated by adaptive
-Gauss-Legendre panels on a geometrically graded mesh; near t = 0 the factor
+The double-series integral representation is integrated by Gauss-Legendre
+panels on a geometrically graded mesh under one error budget: while the
+panel bounds sum past it, the panel with the largest bound is halved, and a
+budget that halving cannot meet is refused at once.  Near t = 0 the factor
 Li_q(e^(-t)) is produced from its |t| < 2*pi expansion because e^(-t) is
 indistinguishable from 1 in double precision there.  For t >= 0.5, and for
 the public :func:`polylog`, the series sum_m x^m m^(-q) is summed directly by
@@ -322,6 +324,16 @@ def zeta(s: float, target_eps: float = DEFAULT_EPS) -> EvalReport:
     if not s > 1.0 + MIN_GAP:
         raise DomainError(f"zeta requires s > 1 + {MIN_GAP}, got {s}")
     return _zeta_cached(s, float(target_eps))
+
+
+#: An error target :func:`zeta` meets at every s >= 2 it can evaluate at all.
+_ZETA_FLOOR = 5e-14
+
+
+def _zeta_floor(s: float) -> float:
+    """An error target zeta(s) meets; nearer s = 1 it grows like the value,
+    whose partial sums carry the float rounding."""
+    return _ZETA_FLOOR * max(1.0, 0.75 / (s - 1.0))
 
 
 def tail(p: float, n: int, target_eps: float = DEFAULT_EPS) -> EvalReport:
@@ -718,8 +730,17 @@ def _integrand_factory(r: float, q: float) -> Callable[[np.ndarray], tuple[np.nd
     return f
 
 
-def _panel_quad(f, a: float, b: float) -> tuple[float, float, float, int]:
-    """Gauss-Legendre 16/32 pair on [a, b]: (I32, rule_est, feval_err, evals)."""
+#: Most panels one quadrature may hold, graded mesh included; the lower cut
+#: never places more than about 810 mesh panels.
+_MAX_PANELS = 2000
+
+
+def _panel(f, a: float, b: float) -> tuple[float, float, float, float, float]:
+    """Gauss-Legendre 16/32 pair on [a, b]: (a, b, I32, bound, floor).
+
+    ``floor`` is the part of ``bound`` that splitting the panel does not
+    shrink: the integrand's own error and the rounding of I32.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x16, w16 = _gl_rule(16)
@@ -729,20 +750,40 @@ def _panel_quad(f, a: float, b: float) -> tuple[float, float, float, int]:
     i16 = half * float(np.dot(w16, v16))
     i32 = half * float(np.dot(w32, v32))
     feval = half * float(np.dot(w32, e32))
-    return i32, abs(i32 - i16), feval, 48
+    bound = 1.5 * abs(i32 - i16) + feval + 8.0 * _EPS * abs(i32)
+    if not math.isfinite(bound):
+        raise PrecisionError(f"quadrature: non-finite error bound on [{a}, {b}]")
+    return a, b, i32, bound, feval + 8.0 * _EPS * abs(i32)
 
 
-def _adaptive_panel(f, a: float, b: float, budget: float, depth: int = 0) -> tuple[float, float, int]:
-    i32, est, feval, evals = _panel_quad(f, a, b)
-    bound = 1.5 * est + feval + 8.0 * _EPS * abs(i32)
-    if bound <= budget or depth >= 52:
-        if depth >= 52 and bound > budget:
-            raise PrecisionError(f"quadrature stalled on [{a}, {b}]: bound {bound}")
-        return i32, bound, evals
-    mid = 0.5 * (a + b)
-    l_val, l_bound, l_evals = _adaptive_panel(f, a, mid, 0.5 * budget, depth + 1)
-    r_val, r_bound, r_evals = _adaptive_panel(f, mid, b, 0.5 * budget, depth + 1)
-    return l_val + r_val, l_bound + r_bound, evals + l_evals + r_evals
+def _quadrature(f, edges: Sequence[float], budget: float) -> tuple[float, float, int]:
+    """Integral of f over [edges[0], edges[-1]] with one error budget.
+
+    Panels stay in mesh order; while their bounds sum past ``budget`` the
+    panel with the largest bound is split in place.  Returns the value, the
+    bound, both summed left to right, and the integrand evaluations.
+    """
+    panels = [_panel(f, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    evals = 48 * len(panels)
+    while sum(p[3] for p in panels) > budget:
+        floor = sum(p[4] for p in panels)
+        if floor > budget:
+            raise PrecisionError(f"quadrature: integrand error {floor} exceeds budget {budget}")
+        if len(panels) >= _MAX_PANELS:
+            raise PrecisionError(f"quadrature: budget {budget} not met with {_MAX_PANELS} panels")
+        i = max(range(len(panels)), key=lambda j: panels[j][3])
+        a, b = panels[i][:2]
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            raise PrecisionError(f"quadrature stalled on [{a}, {b}]: bound {panels[i][3]}")
+        panels[i : i + 1] = [_panel(f, a, mid), _panel(f, mid, b)]
+        evals += 96
+    total = 0.0
+    total_bound = 0.0
+    for _, _, val, bnd, _ in panels:
+        total += val
+        total_bound += bnd
+    return total, total_bound, evals
 
 
 def _li_large_t_coef(q: float, t_cut: float) -> float:
@@ -804,11 +845,15 @@ def mzv_integral(r: float, q: float, target_eps: float = DEFAULT_EPS) -> EvalRep
 
         (1/Gamma(r)) * integral_0^inf  t^(r-1) Li_q(e^-t) / (e^t - 1) dt,
 
-    valid for real r > 1 and q > 2 - r.  Adaptive Gauss-Legendre panels on a
+    valid for real r > 1 and q > 2 - r.  Gauss-Legendre panels on a
     geometrically graded mesh cover [delta, T]; the end regions are bounded
     analytically.  Panel error estimates come from a 16/32-point rule pair
     with a safety factor, so the reported bound is conservative but not a
-    formal proof on the panel interiors.
+    formal proof on the panel interiors.  All panels share one budget: the
+    panel with the largest bound is halved until the bounds fit it.  Raises
+    :class:`PrecisionError` at once when a panel bound is not finite, when
+    the integrand's own error alone exceeds the budget, when a panel can no
+    longer be halved, or at ``_MAX_PANELS`` panels.
     """
     r = float(r)
     q = float(q)
@@ -832,17 +877,9 @@ def mzv_integral(r: float, q: float, target_eps: float = DEFAULT_EPS) -> EvalRep
     while edges[-1] < t_cut:
         edges.append(min(t_cut, edges[-1] * 2.0))
 
-    f = _integrand_factory(r, q)
-    quad_budget = 0.9 * target_eps * gam
-    per_panel = quad_budget / len(edges)
-    total = 0.0
-    total_bound = 0.0
-    evals = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, bnd, n_ev = _adaptive_panel(f, a, b, per_panel)
-        total += val
-        total_bound += bnd
-        evals += n_ev
+    total, total_bound, evals = _quadrature(
+        _integrand_factory(r, q), edges, 0.9 * target_eps * gam
+    )
     # The omitted end regions hold positive mass below their analytic
     # bounds; crediting half of each bound centres the truncation error,
     # which is then within 0.5 * bound (reported with a cushion).

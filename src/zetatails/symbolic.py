@@ -20,16 +20,17 @@ from . import numerics
 
 Monomial = tuple[int, ...]
 
-#: An error target :func:`numerics.zeta` meets at every integer argument
-#: >= 2 it can evaluate at all; finer per-factor budgets are clamped to it.
-_ZETA_FLOOR = 5e-14
-
-
-def _nil_binom(p: int, q: int) -> int:
-    """Binomial coefficient that is nil whenever p < q or q < 0."""
-    if q < 0 or p < q:
-        return 0
-    return math.comb(p, q)
+def _even_row_binoms(k: int, count: int) -> list[int]:
+    """comb(2i, k) for i = 0..count-1, nil where 2i < k, each from the last."""
+    out = []
+    c = 0
+    for p in range(0, 2 * count, 2):
+        if p in (k, k + 1):
+            c = math.comb(p, k)
+        elif c:
+            c = c * p * (p - 1) // ((p - k) * (p - 1 - k))
+        out.append(c)
+    return out
 
 
 class ZetaPolynomial:
@@ -131,7 +132,7 @@ class ZetaPolynomial:
             (len(m) + 1) * max(1.0, abs(float(c))) * 2.0 ** len(m)
             for m, c in self._terms.items()
         )
-        per = max(target_eps / (4.0 * scale), _ZETA_FLOOR)
+        per = max(target_eps / (4.0 * scale), numerics._ZETA_FLOOR)
         rep = numerics.EvalReport.fsum(
             coeff * numerics.EvalReport.prod(numerics.zeta(a, per) for a in mono)
             for mono, coeff in sorted(self._terms.items())
@@ -231,10 +232,11 @@ def reduce_n1(n: int) -> ZetaPolynomial:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"reduce_n1 requires an integer n >= 2, got {n!r}")
-    poly = ZetaPolynomial.single(n + 1, Fraction(n, 2))
+    terms: dict[Monomial, Fraction] = {(n + 1,): Fraction(n, 2)}
     for j in range(2, n):
-        poly = poly - ZetaPolynomial.monomial((j, n + 1 - j), Fraction(1, 2))
-    return poly
+        mono = tuple(sorted((j, n + 1 - j)))
+        terms[mono] = terms.get(mono, 0) - Fraction(1, 2)
+    return ZetaPolynomial(terms)
 
 
 def reduce_double_odd(m: int, n: int) -> ZetaPolynomial:
@@ -252,14 +254,17 @@ def reduce_double_odd(m: int, n: int) -> ZetaPolynomial:
     if w % 2 == 0:
         raise DomainError(f"reduce_double_odd requires odd weight, got {w}")
     sign = -1 if m % 2 else 1
-    poly = ZetaPolynomial.single(w, Fraction(sign * math.comb(w, n) - 1, 2))
+    terms: dict[Monomial, Fraction] = {(w,): Fraction(sign * math.comb(w, n) - 1, 2)}
     if sign == 1:
-        poly = poly + ZetaPolynomial.monomial((m, n))
-    for j in range(1, (w - 1) // 2 + 1):
-        c = _nil_binom(2 * j - 2, m - 1) + _nil_binom(2 * j - 2, n - 1)
+        terms[tuple(sorted((m, n)))] = Fraction(1)
+    rows = (w - 1) // 2
+    binoms = zip(_even_row_binoms(m - 1, rows), _even_row_binoms(n - 1, rows))
+    for j, (bm, bn) in enumerate(binoms, start=1):
+        c = bm + bn
         if c:
-            poly = poly - ZetaPolynomial.monomial((2 * j - 1, w - 2 * j + 1), sign * c)
-    return poly
+            mono = tuple(sorted((2 * j - 1, w - 2 * j + 1)))
+            terms[mono] = terms.get(mono, 0) - sign * c
+    return ZetaPolynomial(terms)
 
 
 def sum_theorem_identity(n: int, k: int) -> tuple[list[IntegerIndex], ZetaPolynomial]:
@@ -281,54 +286,6 @@ def sum_theorem_identity(n: int, k: int) -> tuple[list[IntegerIndex], ZetaPolyno
         if len(parts) == k and parts[0] >= 2
     ]
     return indices, ZetaPolynomial.single(n)
-
-
-def binom_relation(p: int, q: int) -> tuple[list[tuple[int, IntegerIndex]], ZetaPolynomial]:
-    """Weighted depth-two indices whose combination equals zeta(p + q).
-
-    Returns the two binomially weighted sums exactly as written, first the
-    one indexed by p then the one indexed by q, without merging across them.
-    """
-    for name, v in (("p", p), ("q", q)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DomainError(f"{name} must be a positive integer, got {v!r}")
-    n = p + q
-    if n < 3:
-        raise DomainError(f"requires p + q >= 3, got {n}")
-    entries: list[tuple[int, IntegerIndex]] = []
-    for lead in (p, q):
-        for i in range(lead + 1, n):
-            entries.append((math.comb(i - 1, lead - 1), IntegerIndex((i, n - i))))
-    return entries, ZetaPolynomial.single(n)
-
-
-@dataclass(frozen=True)
-class ProductIdentity:
-    """zeta(n) zeta(m) = sum of the two interleavings plus zeta(n + m)."""
-
-    n: int
-    m: int
-    lhs: ZetaPolynomial
-    double_terms: tuple[tuple[int, IntegerIndex], ...]
-    single: IntegerIndex
-
-
-def product_relation(n: int, m: int) -> ProductIdentity:
-    """Structured record of the stuffle identity for a pair of single zetas."""
-    for name, v in (("n", n), ("m", m)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 2:
-            raise DomainError(f"{name} must be an integer >= 2, got {v!r}")
-    if n == m:
-        doubles = ((2, IntegerIndex((n, n))),)
-    else:
-        doubles = ((1, IntegerIndex((n, m))), (1, IntegerIndex((m, n))))
-    return ProductIdentity(
-        n=n,
-        m=m,
-        lhs=ZetaPolynomial.monomial((n, m)),
-        double_terms=doubles,
-        single=IntegerIndex((n + m,)),
-    )
 
 
 def duality(index: IntegerIndex | Sequence[int]) -> IntegerIndex:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import ExponentList, MAX_K, as_args, compositions, converges, multinomial
-from .errors import BoundError, DomainError
+from .errors import BoundError, DomainError, PrecisionError
 from . import numerics
 from .numerics import EvalReport, MIN_GAP
 from .symbolic import ZetaPolynomial, reduce_double_odd
@@ -205,10 +205,15 @@ def evaluate_formula(
         for args, coeff in sorted(merged.items())
     ]
     z_eps = target_eps / (8.0 * max(1, formula.k) * 4.0)
-    product = EvalReport.prod(numerics.zeta(p, z_eps) for p in exps)
+    product = EvalReport.prod(
+        numerics.zeta(p, max(z_eps, numerics._zeta_floor(p))) for p in exps
+    )
     # scaled by -1, not negated, so the product's bound carries one rounding
     # like every other scaled term
-    return EvalReport.fsum(terms + [-1 * product])
+    rep = EvalReport.fsum(terms + [-1 * product])
+    if rep.abs_error_bound > target_eps:
+        raise PrecisionError(f"tail sum: achieved bound {rep.abs_error_bound} > {target_eps}")
+    return rep
 
 
 def proposition_kk1(k: float, target_eps: float | None = None) -> tuple[EvalReport, EvalReport]:

@@ -70,14 +70,6 @@ PRODUCT_CASES: tuple[tuple[tuple[float, ...], dict, float], ...] = (
 )
 
 
-def closed_form(exponents: tuple[float, ...]) -> ZetaPolynomial:
-    """The pinned closed form for one of the worked product cases."""
-    for exps, terms, _ in PRODUCT_CASES:
-        if exps == tuple(exponents):
-            return ZetaPolynomial(terms)
-    raise KeyError(f"no pinned closed form for {exponents}")
-
-
 def admissible_integer_indices(max_weight: int) -> list[IntegerIndex]:
     """Every integer index with first entry >= 2 and weight <= max_weight."""
     return [

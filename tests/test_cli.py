@@ -196,6 +196,19 @@ class TestTailSumBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == TAIL_SUM_DIGESTS[exponents]
 
 
+#: sha256 of ``verify --suite all --seed 7 --format json`` output
+VERIFY_ALL_DIGEST = "408069ca568b3803c8f4829d75c4d5b7cb0abf6de5176db6379917210894e8ec"
+
+
+class TestVerifyBytes:
+    def test_verify_all_output_is_pinned(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--seed", "7", "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "zeta", "--bogus", "2")

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from zetatails import (
     DomainError,
     ExponentList,
     MzvIndex,
-    Rational,
     compositions,
     converges,
     multinomial,
@@ -167,11 +165,6 @@ class TestDomainTypes:
     def test_mzv_index_rejects_inf(self):
         with pytest.raises(DomainError):
             MzvIndex((float("inf"),))
-
-    def test_rational_is_reduced(self):
-        r = Rational(6, -4)
-        assert (r.numerator, r.denominator) == (-3, 2)
-        assert Rational(3, 1) == Fraction(3)
 
     def test_multinomial_mismatched_parts(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetatails
+from zetatails import numerics
 from zetatails import (
     DepthError,
     DomainError,
@@ -268,6 +270,60 @@ class TestMzvIntegral:
             mzv_integral(1.0, 2.0)
         with pytest.raises(DomainError):
             mzv_integral(2.0, 0.0)  # q must exceed 2 - r = 0
+
+    @pytest.mark.parametrize(
+        "r,q",
+        [
+            # r + q - 2 = 0.078: the integrand overflows to NaN at the lower cut
+            (3.602930087155526, -1.5244686484777583),
+            # the Gamma and zeta(q - n) poles cancel; their rounding fills the budget
+            (2.0, 1.0 + 1e-7),
+            (2.0, 2.0 + 1e-7),
+        ],
+    )
+    def test_refuses_in_bounded_time(self, r, q):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            mzv_integral(r, q)
+        assert time.perf_counter() - start < 1.0
+
+    def test_stalled_panel_is_refused(self):
+        # the 16-point rule sees a pole at t = 1, the 32-point rule sees
+        # nothing: the rule difference next to t = 1 stays put however small
+        # the panel, until its midpoint is no longer inside it
+        def pole(t):
+            v = 1.0 / (t - 1.0 + 1e-300) if len(t) == 16 else np.zeros_like(t)
+            return v, np.zeros_like(t)
+
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match="stalled"):
+            numerics._quadrature(pole, [1.0, 2.0], 1e-9)
+        assert time.perf_counter() - start < 1.0
+
+    def test_panel_cap_is_refused(self, monkeypatch):
+        # the rule difference on [0, 1] halves only with each split of a panel
+        def wiggle(t):
+            return np.sin(1e7 * t), np.zeros_like(t)
+
+        monkeypatch.setattr(numerics, "_MAX_PANELS", 64)
+        with pytest.raises(PrecisionError, match="64 panels"):
+            numerics._quadrature(wiggle, [0.0, 1.0], 1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(min_value=1.0, max_value=6.0, exclude_min=True),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_finite_report_or_clean_refusal(self, r, u):
+        q = (2.0 - r) + u * (4.0 + r)  # q in (2 - r, 6]
+        start = time.perf_counter()
+        try:
+            rep = mzv_integral(r, q)
+        except (DomainError, PrecisionError):
+            pass
+        else:
+            assert math.isfinite(rep.value) and math.isfinite(rep.abs_error_bound)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestBruteTailProductSum:

@@ -49,6 +49,44 @@ MZV_TRUTHS = {
 }
 
 
+def _tail_expansion(p, order):
+    """a_0..a_order with sum_{m>n} m^(-p) ~ sum_i a_i n^(1-p-i) (Euler-Maclaurin)."""
+    p = mp.mpf(p)
+    a = [1 / (p - 1), mp.mpf(-1) / 2] + [mp.mpf(0)] * (order - 1)
+    for j in range(1, order // 2 + 1):
+        a[2 * j] = mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.rf(p, 2 * j - 1)
+    return a
+
+
+def _tail_product_sum(exps, cutoff=64, order=16):
+    """sum_{n>=1} prod_j T_j(n), T_j(n) = sum_{m>n} m^(-p_j): the tails by
+    recurrence up to the cutoff, past it the product of their expansions,
+    each power summed as a Hurwitz zeta value."""
+    ps = [mp.mpf(p) for p in exps]
+    tails = [mp.zeta(p) for p in ps]
+    head = mp.mpf(0)
+    for n in range(1, cutoff + 1):
+        tails = [t - mp.mpf(n) ** -p for t, p in zip(tails, ps)]
+        head += mp.fprod(tails)
+    series = [mp.mpf(1)]
+    for p in ps:
+        a = _tail_expansion(p, order)
+        series = [
+            mp.fsum(series[i] * a[j - i] for i in range(min(j, len(series) - 1) + 1))
+            for j in range(order + 1)
+        ]
+    sigma = sum(ps) - len(ps)
+    return head + mp.fsum(c * mp.zeta(sigma + i, cutoff + 1) for i, c in enumerate(series))
+
+
+def _depth_two(r, q, cutoff=64, order=16):
+    """zeta(r, q) = sum_{m>=1} m^(-q) T_r(m), summed like :func:`_tail_product_sum`."""
+    r, q = mp.mpf(r), mp.mpf(q)
+    head = mp.fsum(mp.mpf(m) ** -q * mp.zeta(r, m + 1) for m in range(1, cutoff + 1))
+    a = _tail_expansion(r, order)
+    return head + mp.fsum(c * mp.zeta(q + r - 1 + i, cutoff + 1) for i, c in enumerate(a))
+
+
 @pytest.mark.parametrize("s", [1.2, 1.5, 2.0, 3.0, 4.0, 5.5, 10.0, 2.0001])
 @pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-11])
 def test_zeta_bound_covers_truth(s, eps):
@@ -99,13 +137,24 @@ def test_mzv_bound_covers_truth(args):
     assert err <= rep.abs_error_bound + 2e-16
 
 
+@pytest.mark.parametrize("args", sorted(a for a in MZV_TRUTHS if len(a) == 2), ids=str)
+def test_depth_two_reference_matches_closed_forms(args):
+    assert abs(_depth_two(*args) - MZV_TRUTHS[args]) < mp.mpf(10) ** -25
+
+
+#: q near an integer, where the Gamma and zeta(q - n) poles of the small-t
+#: expansion of Li_q(e^-t) nearly cancel
+NEAR_INTEGER_Q = [(2.0, 2.0001), (3.0, 1.00001), (2.5, 1.0 + 1e-5), (2.5, 3.0 - 1e-6)]
+
+
 @pytest.mark.parametrize(
-    "args", sorted(a for a in MZV_TRUTHS if len(a) == 2), ids=str
+    "args", sorted(a for a in MZV_TRUTHS if len(a) == 2) + NEAR_INTEGER_Q, ids=str
 )
 def test_mzv_integral_bound_covers_truth(args):
     r, q = args
     rep = mzv_integral(r, q, 1e-9)
-    err = abs(rep.value - float(MZV_TRUTHS[args]))
+    truth = MZV_TRUTHS[args] if args in MZV_TRUTHS else _depth_two(r, q)
+    err = abs(rep.value - float(truth))
     assert err <= rep.abs_error_bound + 2e-16
 
 
@@ -129,6 +178,20 @@ CLOSED_FORMS = {exps: ZetaPolynomial(terms) for exps, terms, _ in PRODUCT_CASES}
 def test_evaluate_formula_bound_covers_truth(exps):
     rep = evaluate_formula(tail_product_formula(exps), exps)
     assert _covers(rep, _poly_truth(CLOSED_FORMS[exps]))
+
+
+@pytest.mark.parametrize("exps", sorted(CLOSED_FORMS), ids=str)
+def test_tail_product_reference_matches_closed_forms(exps):
+    truth = _poly_truth(CLOSED_FORMS[exps])
+    assert abs(_tail_product_sum(exps) - truth) < mp.mpf(10) ** -25
+
+
+def test_evaluate_formula_fine_target_covers_truth():
+    # the unclamped per-factor target for zeta(1.5) lies below what it can reach
+    exps = (1.5, 2.5, 3.5, 1.7)
+    rep = evaluate_formula(tail_product_formula(exps), exps, 4e-12)
+    assert rep.abs_error_bound <= 4e-12
+    assert _covers(rep, _tail_product_sum(exps))
 
 
 @pytest.mark.parametrize(

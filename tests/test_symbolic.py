@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,8 @@ from zetatails import (
     DomainError,
     IntegerIndex,
     ZetaPolynomial,
-    binom_relation,
     duality,
     mzv,
-    product_relation,
     reduce_double_odd,
     reduce_n1,
     sum_theorem_identity,
@@ -196,6 +196,46 @@ class TestReduceDoubleOdd:
             reduce_double_odd(4, 1)  # n = 1 belongs to reduce_n1
 
 
+def _reduce_n1_by_subtraction(n):
+    poly = ZetaPolynomial.single(n + 1, Fraction(n, 2))
+    for j in range(2, n):
+        poly = poly - ZetaPolynomial.monomial((j, n + 1 - j), Fraction(1, 2))
+    return poly
+
+
+def _reduce_double_odd_by_subtraction(m, n):
+    w = m + n
+    sign = -1 if m % 2 else 1
+    poly = ZetaPolynomial.single(w, Fraction(sign * math.comb(w, n) - 1, 2))
+    if sign == 1:
+        poly = poly + ZetaPolynomial.monomial((m, n))
+    for j in range(1, (w - 1) // 2 + 1):
+        c = sum(math.comb(2 * j - 2, k) for k in (m - 1, n - 1) if k <= 2 * j - 2)
+        if c:
+            poly = poly - ZetaPolynomial.monomial((2 * j - 1, w - 2 * j + 1), sign * c)
+    return poly
+
+
+class TestOnePassBuild:
+    """The reductions build one dict; the reference adds one monomial at a time."""
+
+    def test_reduce_n1(self):
+        for n in range(2, 31):
+            assert reduce_n1(n) == _reduce_n1_by_subtraction(n), n
+
+    def test_reduce_double_odd(self):
+        for m in range(2, 31):
+            for n in range(2, 31):
+                if (m + n) % 2:
+                    assert reduce_double_odd(m, n) == _reduce_double_odd_by_subtraction(m, n)
+
+    def test_large_weight_is_fast(self):
+        start = time.perf_counter()
+        poly = reduce_double_odd(2001, 2000)
+        assert time.perf_counter() - start < 1.0
+        assert poly.weight() == 4001
+
+
 class TestSumTheorem:
     def test_weight3_depth2(self):
         indices, rhs = sum_theorem_identity(3, 2)
@@ -243,69 +283,40 @@ class TestAdmissibleIntegerIndices:
 
 
 class TestBinomRelation:
-    def test_12(self):
-        entries, rhs = binom_relation(1, 2)
-        assert [(c, idx.args) for c, idx in entries] == [(1, (2, 1))]
-        assert rhs == ZetaPolynomial.single(3)
-
-    def test_22(self):
-        entries, rhs = binom_relation(2, 2)
-        assert [(c, idx.args) for c, idx in entries] == [(2, (3, 1)), (2, (3, 1))]
-        assert rhs == ZetaPolynomial.single(4)
-
-    def test_degenerate_empty_ranges(self):
-        # p = 1, q = 2: the q-indexed sum starts past its end
-        entries, _ = binom_relation(1, 2)
-        assert len(entries) == 1
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            binom_relation(1, 1)
-        with pytest.raises(DomainError):
-            binom_relation(0, 5)
+    """zeta(p + q) = sum over lead in (p, q) and lead < i < p + q of
+    C(i - 1, lead - 1) * zeta(i, p + q - i), written out against mzv."""
 
     @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2)])
     def test_numeric_identity(self, p, q):
-        entries, rhs = binom_relation(p, q)
-        reports = [mzv(tuple(float(a) for a in idx.args), 1e-9) for _, idx in entries]
+        n = p + q
+        entries = [
+            (math.comb(i - 1, lead - 1), (float(i), float(n - i)))
+            for lead in (p, q)
+            for i in range(lead + 1, n)
+        ]
+        reports = [mzv(args, 1e-9) for _, args in entries]
         total = sum(c * r.value for (c, _), r in zip(entries, reports))
-        z = rhs.evaluate(1e-10)
+        z = ZetaPolynomial.single(n).evaluate(1e-10)
         tol = sum(c * r.abs_error_bound for (c, _), r in zip(entries, reports))
         assert abs(total - z.value) <= tol + z.abs_error_bound + 1e-12
 
 
 class TestProductRelation:
-    def test_distinct(self):
-        rec = product_relation(2, 3)
-        assert rec.lhs == ZetaPolynomial.monomial((2, 3))
-        assert [(c, idx.args) for c, idx in rec.double_terms] == [
-            (1, (2, 3)),
-            (1, (3, 2)),
-        ]
-        assert rec.single.args == (5,)
-
-    def test_symmetric_collapse(self):
-        rec = product_relation(4, 4)
-        assert [(c, idx.args) for c, idx in rec.double_terms] == [(2, (4, 4))]
-        assert rec.single.args == (8,)
+    """The stuffle identity zeta(n) zeta(m) = zeta(n, m) + zeta(m, n) + zeta(n + m)."""
 
     @pytest.mark.parametrize("n,m", [(2, 3), (4, 3), (2, 2), (3, 3)])
     def test_numeric_identity(self, n, m):
-        rec = product_relation(n, m)
-        lhs = rec.lhs.evaluate(1e-10)
-        parts = [mzv(tuple(float(a) for a in idx.args), 1e-9) for _, idx in rec.double_terms]
-        single = zeta(float(rec.single.args[0]), 1e-11)
-        rhs = sum(c * r.value for (c, _), r in zip(rec.double_terms, parts)) + single.value
+        doubles = [(2, (n, n))] if n == m else [(1, (n, m)), (1, (m, n))]
+        lhs = ZetaPolynomial.monomial((n, m)).evaluate(1e-10)
+        parts = [mzv(tuple(float(a) for a in args), 1e-9) for _, args in doubles]
+        single = zeta(float(n + m), 1e-11)
+        rhs = sum(c * r.value for (c, _), r in zip(doubles, parts)) + single.value
         tol = (
             lhs.abs_error_bound
-            + sum(c * r.abs_error_bound for (c, _), r in zip(rec.double_terms, parts))
+            + sum(c * r.abs_error_bound for (c, _), r in zip(doubles, parts))
             + single.abs_error_bound
         )
         assert abs(lhs.value - rhs) <= tol + 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            product_relation(1, 3)
 
 
 class TestDuality:

@@ -256,6 +256,12 @@ class TestEvaluateFormula:
         expected = 2.0 * z4.value - z2.value * z3.value
         assert abs(ev.value - expected) <= ev.abs_error_bound + 1e-10
 
+    def test_final_bound_over_target_raises(self):
+        # every factor is served, but the summed radius, about 1.2e-12, is not
+        exps = (1.5, 2.5, 3.5, 1.7)
+        with pytest.raises(PrecisionError, match="achieved bound"):
+            evaluate_formula(tail_product_formula(exps), exps, 1e-12)
+
     def test_triple_real_vs_brute(self):
         exps = (2.5, 1.7, 1.9)
         ev = evaluate_formula(tail_product_formula(exps), exps)
