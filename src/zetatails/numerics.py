@@ -22,8 +22,11 @@ pure-power under two operations we need repeatedly:
 
 Nested zeta series of any convergent real index are evaluated by building
 tail functions level by level (outermost argument first) with the exact
-values kept on an array 1..N and the expansion taking over past N.  The
-same machinery accelerates the outer sum of a product of tails.
+values kept on an array 1..N and the expansion taking over past N.  A level
+depends only on its argument prefix and N, so a batch of indices (the merged
+indices of a tail formula) is walked in sorted order as a prefix tree: each
+distinct prefix gets its expansion once and its level at the first cutoff
+once.  The same machinery accelerates the outer sum of a product of tails.
 
 The double-series integral representation is integrated by Gauss-Legendre
 panels on a geometrically graded mesh under one error budget: while the
@@ -206,11 +209,14 @@ def _zeta_tail_pt(beta: float) -> _PowerTail:
     return _pt_make(terms, rc, beta + 5.0)
 
 
-def _pt_convolve(pt: _PowerTail, a: float) -> _PowerTail:
+def _pt_convolve(
+    pt: _PowerTail, a: float, zeta_tail: Callable[[float], _PowerTail] = _zeta_tail_pt
+) -> _PowerTail:
     """Expansion of  sum_{n>m} n^(-a) * pt(n).
 
     Every composite exponent a + e_l must exceed 1, which is exactly the
-    convergence margin the callers enforce.
+    convergence margin the callers enforce.  ``zeta_tail`` supplies the
+    expansion of each zeta tail, so that a caller may memoise it.
     """
     terms: list[tuple[float, float]] = []
     rems: list[tuple[float, float]] = []
@@ -220,7 +226,7 @@ def _pt_convolve(pt: _PowerTail, a: float) -> _PowerTail:
             raise PrecisionError(
                 f"cannot bound tail: composite exponent {beta} too close to 1"
             )
-        sub = _zeta_tail_pt(beta)
+        sub = zeta_tail(beta)
         terms.extend((c * c2, e2) for c2, e2 in sub.terms)
         rems.append((abs(c) * sub.rem_coef, sub.rem_exp))
     gamma = a + pt.rem_exp
@@ -462,40 +468,91 @@ def _require_margins(args: tuple[float, ...]) -> None:
             raise DomainError(f"index {args} does not converge")
 
 
-def _mzv_expansions(args: tuple[float, ...]) -> list[_PowerTail]:
-    pts = [_zeta_tail_pt(args[0])]
-    for a in args[1:]:
-        pts.append(_pt_convolve(pts[-1], a))
-    return pts
+def _mzv_levels(
+    args: tuple[float, ...], pts: list[_PowerTail], n: int, levels: list
+) -> tuple[float, float]:
+    """(value, error bound) of the nested series ``args`` at cutoff n.
 
-
-def _mzv_build(args: tuple[float, ...], pts: list[_PowerTail], n: int) -> tuple[float, float]:
-    """One evaluation pass at cutoff n; returns (value, error bound).
-
-    Level j keeps the tail function U_j on the grid 0..n via the backward
-    recurrence U_j(m) = U_j(m+1) + (m+1)^(-a_j) * U_{j-1}(m+1), seeded at
-    U_j(n) by the level's expansion.  Error envelopes are carried per grid
-    point, so the decay of inner tails is not thrown away when a level has
-    a growing weight n^(-a_j) with negative a_j.
+    ``levels`` holds the levels of a prefix of ``args`` on the grid 0..n,
+    level 0 first, and gets the others pushed.  Level j keeps the tail
+    function U_j via the backward recurrence
+    U_j(m) = U_j(m+1) + (m+1)^(-a_j) * U_{j-1}(m+1), seeded at U_j(n) by
+    its expansion ``pts[j-1]``; U_0 = 1.  Error envelopes are carried per
+    grid point, so the decay of inner tails is not thrown away when a level
+    has a growing weight n^(-a_j) with negative a_j.
     """
     ns = np.arange(1.0, n + 1.0)
     ops_left = (n - np.arange(n + 1, dtype=np.float64)) + 8.0
-    v_prev = np.ones(n + 1)
-    e_prev = np.zeros(n + 1)
-    for a, pt in zip(args, pts):
-        pw = ns ** (-a)
-        seed, seed_err = _pt_eval(pt, n)
+    if not levels:
+        levels.append((np.ones(n + 1), np.zeros(n + 1)))
+    for j in range(len(levels) - 1, len(args)):
+        v_prev, e_prev = levels[-1]
+        pw = ns ** (-args[j])
+        seed, seed_err = _pt_eval(pts[j], n)
         w = pw * v_prev[1:]
         suffix = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
         v = seed + suffix
         werr = pw * e_prev[1:]
         esuf = np.concatenate((np.cumsum(werr[::-1])[::-1], [0.0]))
         rounding = _EPS * ops_left * (np.abs(v) + abs(seed))
-        e_prev = seed_err + esuf + rounding
-        v_prev = v
-    value = float(v_prev[0])
+        levels.append((v, seed_err + esuf + rounding))
+    v, e = levels[-1]
+    value = float(v[0])
     # _TINY keeps the bound positive when every term underflows to zero
-    return value, float(e_prev[0]) * (1.0 + 1e-9) + 4.0 * _EPS * abs(value) + _TINY
+    return value, float(e[0]) * (1.0 + 1e-9) + 4.0 * _EPS * abs(value) + _TINY
+
+
+def _mzv_many(indices: Sequence[tuple[float, ...]], target_eps: float) -> list[EvalReport]:
+    """``[mzv(a, target_eps) for a in indices]``, with each distinct argument
+    prefix expanded once and its level at the first cutoff built once.
+
+    A level depends only on its argument prefix and the cutoff.  The indices
+    are taken in sorted order, so a shared prefix is a run of neighbours:
+    the expansions and first-cutoff levels of the previous index stay on a
+    stack, and each index pops back to the prefix it shares with that one
+    and pushes only its own.  An index that misses the target at the first
+    cutoff doubles on alone, as in :func:`mzv`; formula indices seldom do.
+    Raises what :func:`mzv` raises on the first refused index in sorted
+    order.
+    """
+    zeta_tails: dict[float, _PowerTail] = {}
+
+    def zeta_tail(beta: float) -> _PowerTail:
+        if beta not in zeta_tails:
+            zeta_tails[beta] = _zeta_tail_pt(beta)
+        return zeta_tails[beta]
+
+    prev: tuple[float, ...] = ()
+    pts: list[_PowerTail] = []
+    levels: list = []
+    reports: list = [None] * len(indices)
+    first = 64
+    # a level that overflows leaves a non-finite bound, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in sorted(range(len(indices)), key=indices.__getitem__):
+            args = indices[i]
+            if len(args) > MAX_DEPTH:
+                raise DepthError(f"depth {len(args)} exceeds the supported maximum {MAX_DEPTH}")
+            _require_margins(args)
+            _check_eps(target_eps)
+            if target_eps < 1e-10:
+                raise DomainError(f"target_eps below 1e-10 is not supported, got {target_eps}")
+            shared = 0
+            while shared < min(len(prev), len(args)) and prev[shared] == args[shared]:
+                shared += 1
+            del pts[shared:], levels[shared + 1 :]
+            for a in args[shared:]:
+                pts.append(_pt_convolve(pts[-1], a, zeta_tail) if pts else zeta_tail(a))
+            prev = args
+            value, bound, n = _double_cutoff(
+                lambda n: _mzv_levels(args, pts, n, levels if n == first else []),
+                first,
+                2**19,
+                target_eps,
+                lambda: f"mzv{args}",
+            )
+            reports[i] = EvalReport(value, bound, len(args) * n)
+    return reports
 
 
 def mzv(index: MzvIndex | Sequence[float], target_eps: float | None = None) -> EvalReport:
@@ -507,20 +564,9 @@ def mzv(index: MzvIndex | Sequence[float], target_eps: float | None = None) -> E
     fails with :class:`PrecisionError`.
     """
     args = as_args(index)
-    k = len(args)
-    if k > MAX_DEPTH:
-        raise DepthError(f"depth {k} exceeds the supported maximum {MAX_DEPTH}")
-    _require_margins(args)
     if target_eps is None:
-        target_eps = DEFAULT_EPS if k <= 2 else DEFAULT_EPS_DEEP
-    _check_eps(target_eps)
-    if target_eps < 1e-10:
-        raise DomainError(f"target_eps below 1e-10 is not supported, got {target_eps}")
-    pts = _mzv_expansions(args)
-    value, bound, n = _double_cutoff(
-        lambda n: _mzv_build(args, pts, n), 64, 2**19, target_eps, lambda: f"mzv{args}"
-    )
-    return EvalReport(value, bound, k * n)
+        target_eps = DEFAULT_EPS if len(args) <= 2 else DEFAULT_EPS_DEEP
+    return _mzv_many([args], target_eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -877,9 +923,12 @@ def mzv_integral(r: float, q: float, target_eps: float = DEFAULT_EPS) -> EvalRep
     while edges[-1] < t_cut:
         edges.append(min(t_cut, edges[-1] * 2.0))
 
-    total, total_bound, evals = _quadrature(
-        _integrand_factory(r, q), edges, 0.9 * target_eps * gam
-    )
+    # Next to the lower cut t^(q-1) in _li_exp_small_t can overflow, and the
+    # integrand turns inf or NaN; _panel refuses the non-finite bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, total_bound, evals = _quadrature(
+            _integrand_factory(r, q), edges, 0.9 * target_eps * gam
+        )
     # The omitted end regions hold positive mass below their analytic
     # bounds; crediting half of each bound centres the truncation error,
     # which is then within 0.5 * bound (reported with a cushion).

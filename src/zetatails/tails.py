@@ -188,7 +188,8 @@ def evaluate_formula(
 ) -> EvalReport:
     """Numeric value of a tail formula at concrete exponents.
 
-    Every instantiated index is evaluated as a nested series and the single
+    Every instantiated index is evaluated as a nested series, all of them in
+    one walk that shares their common argument prefixes, and the single
     product is subtracted, all in :class:`EvalReport` arithmetic.
     """
     exps = as_args(exponents)
@@ -200,10 +201,9 @@ def evaluate_formula(
             raise DomainError(f"instantiated index {args} does not converge")
     coeff_scale = sum(max(1.0, abs(float(c))) for c in merged.values())
     per = target_eps / (4.0 * coeff_scale)
-    terms = [
-        coeff * numerics.mzv(args, max(per / 2.0, 1e-10))
-        for args, coeff in sorted(merged.items())
-    ]
+    ordered = sorted(merged.items())
+    values = numerics._mzv_many([args for args, _ in ordered], max(per / 2.0, 1e-10))
+    terms = [coeff * value for (_, coeff), value in zip(ordered, values)]
     z_eps = target_eps / (8.0 * max(1, formula.k) * 4.0)
     product = EvalReport.prod(
         numerics.zeta(p, max(z_eps, numerics._zeta_floor(p))) for p in exps

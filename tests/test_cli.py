@@ -196,6 +196,28 @@ class TestTailSumBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == TAIL_SUM_DIGESTS[exponents]
 
 
+#: sha256 of ``tail-sum --exponents E --brute --format json`` output at real
+#: exponents, up to k = 5, where the formula route evaluates many nested values
+#: sharing argument prefixes
+TAIL_SUM_REAL_DIGESTS = {
+    "1.4,2.2,2.9,3.3,1.9": "8f01cb8cbce77727efe7e06677269e5656275e2996e53ef51f735378267c7243",
+    "3.9,1.3,2.4,1.7,2.2": "1809a2c9b6a1429cd569af41448639f65699c3bd0fbcaba92cfe399a9ce07fb0",
+    "2,2,2,2,2": "fd898ac0c3d9769be7df2a6a2d53b2f5e3d6a450030348301acd7cebd76e0c2b",
+    "1.5,2.5,3.5,1.7": "779bfd35ca101ab012fb317eff37232602ff9155fd5abcdc4da076cec1aacfa2",
+    "1.6,2.7,3.1": "806fd166f182354fb9ece2d8a25f4dc6e63c5904034bf7876e0f2d3baa302d54",
+}
+
+
+class TestRealTailSumBytes:
+    @pytest.mark.parametrize("exponents", sorted(TAIL_SUM_REAL_DIGESTS))
+    def test_tail_sum_output_is_pinned(self, capsys, exponents):
+        code, out, _ = run_cli(
+            capsys, "tail-sum", "--exponents", exponents, "--brute", "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TAIL_SUM_REAL_DIGESTS[exponents]
+
+
 #: sha256 of ``verify --suite all --seed 7 --format json`` output
 VERIFY_ALL_DIGEST = "408069ca568b3803c8f4829d75c4d5b7cb0abf6de5176db6379917210894e8ec"
 
@@ -236,6 +258,11 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, *argv)
             assert code == 3, argv
             assert "precision error" in err and "nan" not in err
+
+    def test_tail_sum_past_max_depth(self, capsys):
+        code, _, err = run_cli(capsys, "tail-sum", "--exponents", "2.1,2.2,2.3,2.4,2.5,2.6")
+        assert code == 2
+        assert "depth 6 exceeds the supported maximum 5" in err
 
     def test_negative_eps_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "zeta", "--args", "2", "--eps", "-1")

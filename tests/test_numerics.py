@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from zetatails import (
     mzv_integral,
     polylog,
     tail,
+    tail_product_formula,
     zeta,
 )
 
@@ -238,6 +240,131 @@ class TestMzv:
             mzv((2.0, 1.0), 1e-12)
 
 
+def _expansions_by_index(args):
+    pts = [numerics._zeta_tail_pt(args[0])]
+    for a in args[1:]:
+        pts.append(numerics._pt_convolve(pts[-1], a))
+    return pts
+
+
+def _build_by_index(args, pts, n):
+    ns = np.arange(1.0, n + 1.0)
+    ops_left = (n - np.arange(n + 1, dtype=np.float64)) + 8.0
+    v_prev = np.ones(n + 1)
+    e_prev = np.zeros(n + 1)
+    for a, pt in zip(args, pts):
+        pw = ns ** (-a)
+        seed, seed_err = numerics._pt_eval(pt, n)
+        w = pw * v_prev[1:]
+        suffix = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
+        v = seed + suffix
+        werr = pw * e_prev[1:]
+        esuf = np.concatenate((np.cumsum(werr[::-1])[::-1], [0.0]))
+        rounding = numerics._EPS * ops_left * (np.abs(v) + abs(seed))
+        e_prev = seed_err + esuf + rounding
+        v_prev = v
+    value = float(v_prev[0])
+    return value, float(e_prev[0]) * (1.0 + 1e-9) + 4.0 * numerics._EPS * abs(value) + numerics._TINY
+
+
+def _mzv_by_index(args, target_eps):
+    """(value, bound, terms_used) of a served index, evaluated on its own with
+    every level built from scratch at every cutoff: the reference the prefix
+    walk must equal bit for bit."""
+    pts = _expansions_by_index(args)
+    n = 64
+    while n <= 2**19:
+        value, bound = _build_by_index(args, pts, n)
+        if bound <= target_eps:
+            return value, bound, len(args) * n
+        n *= 2
+    raise AssertionError(f"reference refuses {args} at {target_eps}")
+
+
+def _fields(rep):
+    return rep.value, rep.abs_error_bound, rep.terms_used
+
+
+def _first_refusal(indices, target_eps):
+    """Class and message of what mzv raises first, one index at a time in
+    sorted order."""
+    for args in sorted(indices):
+        try:
+            mzv(args, target_eps)
+        except (DomainError, PrecisionError) as exc:
+            return type(exc), str(exc)
+    raise AssertionError(f"no index of {indices} is refused")
+
+
+class TestPrefixWalk:
+    """``numerics._mzv_many`` equals evaluating each index on its own."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_formula_indices_match_per_index(self, k):
+        rng = random.Random(40 + k)
+        for _ in range(10):
+            while True:
+                exps = tuple(rng.uniform(1.25, 4.0) for _ in range(k))
+                if sum(exps) > k + 1.5:
+                    break
+            indices = list(tail_product_formula(exps).merged_by_value(exps))
+            reports = numerics._mzv_many(indices, 1e-10)
+            assert len(reports) == len(indices)
+            for args, rep in zip(indices, reports):
+                assert _fields(rep) == _mzv_by_index(args, 1e-10), args
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_mzv_matches_per_index(self, depth):
+        rng = random.Random(depth)
+        for _ in range(12):
+            while True:
+                args = (rng.uniform(1.05, 4.0),) + tuple(
+                    rng.uniform(-1.0, 3.0) for _ in range(depth - 1)
+                )
+                if all(sum(args[: j + 1]) > j + 1.05 for j in range(depth)):
+                    break
+            eps = rng.choice([1e-10, 1e-9, 1e-7])
+            assert _fields(mzv(args, eps)) == _mzv_by_index(args, eps), args
+
+    def test_indices_past_the_first_cutoff(self):
+        # the two deepest indices need cutoff 128, their prefixes only 64
+        indices = [
+            (1.4, 0.7, 1.3, 1.5, 0.3),
+            (1.1, 1.0, 2.2, -0.1),
+            (1.1, 1.0),
+            (1.4, 0.7, 1.3, 1.5),
+            (1.1, 1.0, 2.2),
+            (1.4, 0.7, 2.0),
+            (2.0,),
+        ]
+        reports = numerics._mzv_many(indices, 1e-10)
+        cutoffs = [rep.terms_used // len(args) for args, rep in zip(indices, reports)]
+        assert cutoffs == [128, 128, 64, 64, 64, 64, 64]
+        for args, rep in zip(indices, reports):
+            assert _fields(rep) == _mzv_by_index(args, 1e-10), args
+
+    @pytest.mark.parametrize(
+        "indices,eps,error,fragment",
+        [
+            ([(1.5, 2.0), (2.0,) * 6, (2.0, 3.0), (4.0,)], 1e-9, DepthError, "depth 6"),
+            ([(3.0, 2.0), (2.0, 1e-7), (1.5, 1.0), (2.0, 0.5)], 1e-9, DomainError, "within"),
+            ([(2.0, 2.0), (1.000002, 2.0), (1.5, 1.5)], 1e-10, PrecisionError, "best bound"),
+            # a cutoff refusal that sorts before a domain refusal, and after one
+            ([(2.0, -0.9), (1.000002,)], 1e-10, PrecisionError, "best bound"),
+            ([(1.000002,), (1.0000005, 3.0)], 1e-10, DomainError, "within"),
+            ([(500.0,), (400.0, -300.0)], 1e-9, PrecisionError, "not finite"),
+            ([(2.0, 2.0), (3.0,)], 1e-11, DomainError, "below 1e-10"),
+        ],
+        ids=["depth", "margin", "target", "precision-first", "domain-first", "overflow", "floor"],
+    )
+    def test_refuses_as_mzv_in_sorted_order(self, indices, eps, error, fragment):
+        expected = _first_refusal(indices, eps)
+        with pytest.raises((DomainError, PrecisionError)) as info:
+            numerics._mzv_many(indices, eps)
+        assert (type(info.value), str(info.value)) == expected
+        assert type(info.value) is error and fragment in str(info.value)
+
+
 class TestMzvIntegral:
     def test_case_21_equals_zeta3(self):
         rep = mzv_integral(2.0, 1.0, 1e-9)
@@ -286,6 +413,13 @@ class TestMzvIntegral:
         with pytest.raises(PrecisionError):
             mzv_integral(r, q)
         assert time.perf_counter() - start < 1.0
+
+    def test_overflow_is_refused_without_warnings(self):
+        # t^(q-1) overflows next to the lower cut; the bound check refuses it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="non-finite"):
+                mzv_integral(3.602930087155526, -1.5244686484777583)
 
     def test_stalled_panel_is_refused(self):
         # the 16-point rule sees a pole at t = 1, the 32-point rule sees
@@ -525,6 +659,13 @@ class TestHugeExponents:
     def test_fail_cleanly(self, route, args):
         with pytest.raises((DomainError, PrecisionError)):
             route(*args)
+
+    def test_overflowing_level_is_refused_without_warnings(self):
+        # n^300 overflows on the grid; the bound check refuses it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="not finite"):
+                mzv((400.0, -300.0))
 
     def test_underflowed_mzv_keeps_a_positive_bound(self):
         # every term lies below the smallest subnormal, so the value rounds to 0

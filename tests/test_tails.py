@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetatails import core, numerics, symbolic, tails
 from zetatails import (
     BlockTerm,
     BoundError,
@@ -280,6 +282,41 @@ class TestEvaluateFormula:
         ev = evaluate_formula(repeated_tail_formula(2.0, 5), exps, 1e-6)
         br = brute_tail_product_sum(exps, 1e-7)
         assert abs(ev.value - br.value) <= ev.abs_error_bound + br.abs_error_bound
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would hold every grid level of the walk until a collection
+        exps = (1.4, 2.2, 2.9, 3.3, 1.9)
+        formula = tail_product_formula(exps)
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate_formula(formula, exps)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_no_module_cache_grows_with_exponent_lists(self):
+        def cache_sizes():
+            sizes = {}
+            for module in (core, numerics, symbolic, tails):
+                for name, obj in vars(module).items():
+                    if hasattr(obj, "cache_info"):
+                        sizes[module.__name__, name] = obj.cache_info().currsize
+                    elif isinstance(obj, (dict, list, set)) and not name.startswith("__"):
+                        sizes[module.__name__, name] = len(obj)
+            return sizes
+
+        rng = random.Random(17)
+        lists = [tuple(rng.uniform(2.0, 4.0) for _ in range(4)) for _ in range(6)]
+        evaluate_formula(tail_product_formula(lists[0]), lists[0])
+        before = cache_sizes()
+        for exps in lists[1:]:
+            evaluate_formula(tail_product_formula(exps), exps)
+        after = cache_sizes()
+        # zeta values are cached per (argument, target), one per exponent
+        key = ("zetatails.numerics", "_zeta_cached")
+        assert after.pop(key) - before.pop(key) <= 4 * (len(lists) - 1)
+        assert after == before
 
     def test_arity_mismatch(self):
         f = tail_product_formula((2.0, 2.0))
