@@ -43,6 +43,7 @@ from .tails import (
     proposition_square,
     repeated_tail_formula,
     tail_product_formula,
+    tail_product_sum,
 )
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "sum_theorem_identity",
     "tail",
     "tail_product_formula",
+    "tail_product_sum",
     "weak_ordering_count",
     "zeta",
 ]

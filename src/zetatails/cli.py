@@ -172,8 +172,7 @@ def _cmd_mzv(ns) -> int:
 
 
 def _cmd_tail_sum(ns) -> int:
-    formula = tails.tail_product_formula(ns.exponents)
-    rep = tails.evaluate_formula(formula, ns.exponents, ns.eps)
+    rep = tails.tail_product_sum(ns.exponents, ns.eps)
     extra = {"exponents": list(ns.exponents)}
     if ns.brute:
         oracle = numerics.brute_tail_product_sum(ns.exponents, ns.eps)

@@ -24,9 +24,10 @@ Nested zeta series of any convergent real index are evaluated by building
 tail functions level by level (outermost argument first) with the exact
 values kept on an array 1..N and the expansion taking over past N.  A level
 depends only on its argument prefix and N, so a batch of indices (the merged
-indices of a tail formula) is walked in sorted order as a prefix tree: each
-distinct prefix gets its expansion once and its level at the first cutoff
-once.  The same machinery accelerates the outer sum of a product of tails.
+indices of a tail formula) is a prefix tree: walked in sorted order, each
+distinct prefix gets its expansion once, and the levels at the first cutoff
+are then built one depth at a time, a block of nodes per 2-D array pass.
+The same machinery accelerates the outer sum of a product of tails.
 
 The double-series integral representation is integrated by Gauss-Legendre
 panels on a geometrically graded mesh under one error budget: while the
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -456,6 +458,11 @@ def _double_cutoff(
     raise PrecisionError(f"{name()}: best bound {best:.3e} > target {target_eps:.3e}")
 
 
+def _require_depth(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise DepthError(f"depth {depth} exceeds the supported maximum {MAX_DEPTH}")
+
+
 def _require_margins(args: tuple[float, ...]) -> None:
     partial = 0.0
     for j, a in enumerate(args, start=1):
@@ -468,50 +475,139 @@ def _require_margins(args: tuple[float, ...]) -> None:
             raise DomainError(f"index {args} does not converge")
 
 
-def _mzv_levels(
-    args: tuple[float, ...], pts: list[_PowerTail], n: int, levels: list
-) -> tuple[float, float]:
-    """(value, error bound) of the nested series ``args`` at cutoff n.
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """Row-wise sums past each grid point: out[:, m] = sum of x[:, m:], and
+    0 at the end of the grid."""
+    out = np.zeros((x.shape[0], x.shape[1] + 1))
+    x[:, ::-1].cumsum(axis=1, out=out[:, -2::-1])
+    return out
 
-    ``levels`` holds the levels of a prefix of ``args`` on the grid 0..n,
-    level 0 first, and gets the others pushed.  Level j keeps the tail
-    function U_j via the backward recurrence
-    U_j(m) = U_j(m+1) + (m+1)^(-a_j) * U_{j-1}(m+1), seeded at U_j(n) by
-    its expansion ``pts[j-1]``; U_0 = 1.  Error envelopes are carried per
-    grid point, so the decay of inner tails is not thrown away when a level
-    has a growing weight n^(-a_j) with negative a_j.
+
+def _mzv_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid points 1..n and, on 0..n, eps times the float operations
+    left in a level's recurrence (plus 8), which weigh its rounding."""
+    grid = np.arange(n + 1.0)
+    return grid[1:], _EPS * ((n - grid) + 8.0)
+
+
+def _mzv_levels(
+    nodes: Sequence[tuple[float, float, float]],
+    v_prev: np.ndarray,
+    e_prev: np.ndarray,
+    grid: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of a batch of nested series on the grid 0..n, one row each.
+
+    Node r is (a_j, seed, seed error) of a series whose last argument is
+    a_j; its row is the tail function U_j, by the backward recurrence
+    U_j(m) = U_j(m+1) + (m+1)^(-a_j) * U_{j-1}(m+1), seeded at U_j(n) by its
+    expansion's value; U_0 = 1.  ``v_prev`` and ``e_prev`` hold U_{j-1} and
+    its error envelope, a row per node or one row for all; ``grid`` is
+    ``_mzv_grid(n)``.  Error envelopes are carried per grid point, so the
+    decay of inner tails is not thrown away when a level has a growing
+    weight n^(-a_j) with negative a_j.  Returns the values and the
+    envelopes.
     """
-    ns = np.arange(1.0, n + 1.0)
-    ops_left = (n - np.arange(n + 1, dtype=np.float64)) + 8.0
-    if not levels:
-        levels.append((np.ones(n + 1), np.zeros(n + 1)))
-    for j in range(len(levels) - 1, len(args)):
-        v_prev, e_prev = levels[-1]
-        pw = ns ** (-args[j])
-        seed, seed_err = _pt_eval(pts[j], n)
-        w = pw * v_prev[1:]
-        suffix = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
-        v = seed + suffix
-        werr = pw * e_prev[1:]
-        esuf = np.concatenate((np.cumsum(werr[::-1])[::-1], [0.0]))
-        rounding = _EPS * ops_left * (np.abs(v) + abs(seed))
-        levels.append((v, seed_err + esuf + rounding))
-    v, e = levels[-1]
-    value = float(v[0])
+    ns, eps_ops = grid
+    cols = np.array(nodes)
+    a, seed, seed_err = cols[:, 0:1], cols[:, 1:2], cols[:, 2:3]
+    pw = ns ** -a
+    if any(node[0] == -0.5 for node in nodes):
+        # ``ns ** 0.5`` on its own is a square root, which the array power
+        # misses by an ulp at some grid points
+        pw[cols[:, 0] == -0.5] = np.sqrt(ns)
+    v = _suffix_sums(pw * v_prev[:, 1:])
+    v += seed
+    e = _suffix_sums(pw * e_prev[:, 1:])
+    e += seed_err
+    del pw
+    rounding = np.abs(v)
+    rounding += np.abs(seed)
+    rounding *= eps_ops
+    e += rounding
+    return v, e
+
+
+def _mzv_end(v0: float, e0: float) -> tuple[float, float]:
+    """(value, error bound) of a nested series from its top level's value
+    and envelope at grid point 0."""
     # _TINY keeps the bound positive when every term underflows to zero
-    return value, float(e[0]) * (1.0 + 1e-9) + 4.0 * _EPS * abs(value) + _TINY
+    return v0, e0 * (1.0 + 1e-9) + 4.0 * _EPS * abs(v0) + _TINY
+
+
+def _mzv_path(path: Sequence[tuple[float, float, float]], n: int) -> tuple[float, float]:
+    """(value, error bound) at cutoff n of the nested series whose levels
+    are the nodes ``path`` (argument, seed, seed error), a level at a time."""
+    grid = _mzv_grid(n)
+    v, e = np.ones((1, n + 1)), np.zeros((1, n + 1))
+    for node in path:
+        v, e = _mzv_levels([node], v, e, grid)
+    return _mzv_end(float(v[0, 0]), float(e[0, 0]))
+
+
+#: Most nodes of one depth whose levels one array pass builds.
+_ROW_BLOCK = 32
+
+
+def _mzv_tree(
+    nodes: list[list[tuple[float, float, float]]],
+    parents: list[list[int]],
+    kept: list[list[int]],
+    leaves: list[tuple[int, int]],
+    n: int,
+) -> list[tuple[float, float]]:
+    """(value, error bound) at cutoff n of the series ending at each leaf
+    (depth, node) of a prefix tree.
+
+    ``nodes[d]`` lists the nodes of depth d + 1 as (argument, seed, seed
+    error), ``parents[d]`` the row of each node's parent among the rows kept
+    from depth d, and ``kept[d]`` the nodes with children, whose rows are
+    kept, in order.  The levels are built one depth at a time, up to
+    ``_ROW_BLOCK`` nodes per array pass.
+    """
+    grid = _mzv_grid(n)
+    v_up, e_up = np.ones((1, n + 1)), np.zeros((1, n + 1))
+    ends = []
+    for level, up_rows, with_children in zip(nodes, parents, kept):
+        keep = np.zeros(len(level), dtype=bool)
+        keep[with_children] = True
+        v_next, e_next = np.empty((2, len(with_children), n + 1))
+        v0: list[float] = []
+        e0: list[float] = []
+        for lo in range(0, len(level), _ROW_BLOCK):
+            hi = lo + _ROW_BLOCK
+            up = up_rows[lo:hi] if len(v_up) > 1 else slice(None)
+            v, e = _mzv_levels(level[lo:hi], v_up[up], e_up[up], grid)
+            v0 += v[:, 0].tolist()
+            e0 += e[:, 0].tolist()
+            rows = slice(bisect_left(with_children, lo), bisect_left(with_children, hi))
+            v_next[rows], e_next[rows] = v[keep[lo:hi]], e[keep[lo:hi]]
+        ends.append((v0, e0))
+        v_up, e_up = v_next, e_next
+    return [_mzv_end(ends[d][0][node], ends[d][1][node]) for d, node in leaves]
 
 
 def _mzv_many(indices: Sequence[tuple[float, ...]], target_eps: float) -> list[EvalReport]:
     """``[mzv(a, target_eps) for a in indices]``, with each distinct argument
     prefix expanded once and its level at the first cutoff built once.
 
-    A level depends only on its argument prefix and the cutoff.  The indices
-    are taken in sorted order, so a shared prefix is a run of neighbours:
-    the expansions and first-cutoff levels of the previous index stay on a
-    stack, and each index pops back to the prefix it shares with that one
-    and pushes only its own.  An index that misses the target at the first
-    cutoff doubles on alone, as in :func:`mzv`; formula indices seldom do.
+    A level depends only on its argument prefix and the cutoff, so the
+    indices form a prefix tree whose nodes are their distinct prefixes.  The
+    work runs in three phases.
+
+    1. The indices are walked in sorted order, where a shared prefix is a
+       run of neighbours.  The expansions of the current path stay on a
+       stack; each index pops back to the prefix it shares with the previous
+       one and pushes only its own nodes, each with its expansion's value at
+       the first cutoff.  The first index refused (depth, margin, target or
+       expansion) ends the walk.
+    2. :func:`_mzv_tree` builds the first-cutoff levels one depth at a time
+       in array passes, keeping only the rows of nodes with children.  A
+       lone index has nothing to share or batch and takes its path.
+    3. Each index walked reads its value.  One that misses the target
+       doubles on alone, rebuilding its path at each cutoff, as in
+       :func:`mzv`; formula indices seldom do.
+
     Raises what :func:`mzv` raises on the first refused index in sorted
     order.
     """
@@ -522,17 +618,24 @@ def _mzv_many(indices: Sequence[tuple[float, ...]], target_eps: float) -> list[E
             zeta_tails[beta] = _zeta_tail_pt(beta)
         return zeta_tails[beta]
 
-    prev: tuple[float, ...] = ()
-    pts: list[_PowerTail] = []
-    levels: list = []
-    reports: list = [None] * len(indices)
+    def push(pts: list[_PowerTail], a: float) -> _PowerTail:
+        pts.append(_pt_convolve(pts[-1], a, zeta_tail) if pts else zeta_tail(a))
+        return pts[-1]
+
     first = 64
-    # a level that overflows leaves a non-finite bound, which is refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in sorted(range(len(indices)), key=indices.__getitem__):
-            args = indices[i]
-            if len(args) > MAX_DEPTH:
-                raise DepthError(f"depth {len(args)} exceeds the supported maximum {MAX_DEPTH}")
+    nodes: list[list[tuple[float, float, float]]] = []
+    parents: list[list[int]] = []
+    kept: list[list[int]] = []
+    path: list[list[int]] = []  # per depth of the current path: [node, kept row or -1]
+    pts: list[_PowerTail] = []
+    prev: tuple[float, ...] = ()
+    walked: list[tuple[int, tuple[float, ...]]] = []
+    leaves: list[tuple[int, int]] = []
+    refusal = None
+    for i in sorted(range(len(indices)), key=indices.__getitem__):
+        args = indices[i]
+        try:
+            _require_depth(len(args))
             _require_margins(args)
             _check_eps(target_eps)
             if target_eps < 1e-10:
@@ -540,18 +643,60 @@ def _mzv_many(indices: Sequence[tuple[float, ...]], target_eps: float) -> list[E
             shared = 0
             while shared < min(len(prev), len(args)) and prev[shared] == args[shared]:
                 shared += 1
-            del pts[shared:], levels[shared + 1 :]
-            for a in args[shared:]:
-                pts.append(_pt_convolve(pts[-1], a, zeta_tail) if pts else zeta_tail(a))
+            del pts[shared:], path[shared:]
             prev = args
-            value, bound, n = _double_cutoff(
-                lambda n: _mzv_levels(args, pts, n, levels if n == first else []),
-                first,
-                2**19,
-                target_eps,
-                lambda: f"mzv{args}",
-            )
+            for d in range(shared, len(args)):
+                node = (args[d], *_pt_eval(push(pts, args[d]), first))
+                if d == len(nodes):
+                    for per_depth in (nodes, parents, kept):
+                        per_depth.append([])
+                row = 0
+                if d:
+                    up = path[d - 1]
+                    if up[1] < 0:
+                        up[1] = len(kept[d - 1])
+                        kept[d - 1].append(up[0])
+                    row = up[1]
+                path.append([len(nodes[d]), -1])
+                nodes[d].append(node)
+                parents[d].append(row)
+        except (DomainError, PrecisionError) as exc:
+            refusal = exc
+            break
+        walked.append((i, args))
+        leaves.append((len(args) - 1, path[-1][0]))
+
+    reports: list = [None] * len(indices)
+    # a level that overflows leaves a non-finite bound, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(indices) == 1 and walked:
+            at_first = [_mzv_path([level[0] for level in nodes], first)]
+        else:
+            at_first = _mzv_tree(nodes, parents, kept, leaves, first)
+        for (i, args), result in zip(walked, at_first):
+            (value, bound), n = result, first
+            if not bound <= target_eps:
+                # the stack still holds the expansions of the last index walked
+                path_pts = pts if args == prev else []
+                for a in args[len(path_pts) :]:
+                    push(path_pts, a)
+                value, bound, n = _double_cutoff(
+                    lambda n: result
+                    if n == first
+                    else _mzv_path([(a, *_pt_eval(pt, n)) for a, pt in zip(args, path_pts)], n),
+                    first,
+                    2**19,
+                    target_eps,
+                    lambda: f"mzv{args}",
+                )
             reports[i] = EvalReport(value, bound, len(args) * n)
+    if refusal is not None:
+        try:
+            raise refusal
+        finally:
+            # the traceback holds this frame; a frame holding the exception
+            # would keep both, and every level, alive until a collection
+            refusal = None
     return reports
 
 

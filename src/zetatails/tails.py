@@ -123,17 +123,9 @@ def _ordered_set_partitions(positions: tuple[int, ...], sizes: Sequence[int]):
             yield (block,) + tail_blocks
 
 
-def tail_product_formula(exponents: ExponentList | Sequence[float]) -> TailFormula:
-    """Closed form for the sum over n of the product of k tails.
-
-    Semantically this sums over every (permutation, composition) pair with
-    weight 1 over the product of part factorials, merging identical block
-    structures; since the permutations filling a fixed ordered block list
-    are exactly the within-block rearrangements, each merged term is one
-    ordered set partition of the positions with coefficient 1.  Positions
-    are merged, not exponent values, so the formula can be re-instantiated
-    at any exponent list of the same arity.
-    """
+def _check_exponents(exponents: ExponentList | Sequence[float]) -> tuple[float, ...]:
+    """The exponents as floats, refused unless the tail formula holds for
+    them: at most ``MAX_K`` of them, each above 1, summing past k + 1."""
     exps = as_args(exponents)
     k = len(exps)
     if k > MAX_K:
@@ -145,6 +137,21 @@ def tail_product_formula(exponents: ExponentList | Sequence[float]) -> TailFormu
         raise DomainError(
             f"exponent sum {math.fsum(exps)} must exceed k + 1 = {k + 1}"
         )
+    return exps
+
+
+def tail_product_formula(exponents: ExponentList | Sequence[float]) -> TailFormula:
+    """Closed form for the sum over n of the product of k tails.
+
+    Semantically this sums over every (permutation, composition) pair with
+    weight 1 over the product of part factorials, merging identical block
+    structures; since the permutations filling a fixed ordered block list
+    are exactly the within-block rearrangements, each merged term is one
+    ordered set partition of the positions with coefficient 1.  Positions
+    are merged, not exponent values, so the formula can be re-instantiated
+    at any exponent list of the same arity.
+    """
+    k = len(_check_exponents(exponents))
     positions = tuple(range(1, k + 1))
     one = Fraction(1)
     terms = tuple(
@@ -153,6 +160,30 @@ def tail_product_formula(exponents: ExponentList | Sequence[float]) -> TailFormu
         for blocks in _ordered_set_partitions(positions, comp.parts)
     )
     return TailFormula(k=k, zeta_terms=terms)
+
+
+def _merged_indices(exps: tuple[float, ...]) -> dict[tuple[float, ...], int]:
+    """``tail_product_formula(exps).merged_by_value(exps)``, with integer
+    counts, straight from the exponent values.
+
+    An ordered set partition is a sequence of disjoint bitmasks over the
+    positions; each subset's exponent sum is taken once.
+    """
+    full = (1 << len(exps)) - 1
+    sums = [math.fsum(p for j, p in enumerate(exps) if mask >> j & 1) for mask in range(full + 1)]
+    counts: dict[tuple[float, ...], int] = {}
+    stack = [((), full)]
+    while stack:
+        prefix, rest = stack.pop()
+        block = rest
+        while block:
+            if block == rest:
+                args = prefix + (sums[block] - 1.0,)
+                counts[args] = counts.get(args, 0) + 1
+            else:
+                stack.append((prefix + (sums[block],), rest ^ block))
+            block = (block - 1) & rest
+    return counts
 
 
 def repeated_tail_formula(r: float, k: int) -> TailFormula:
@@ -181,6 +212,37 @@ def repeated_tail_formula(r: float, k: int) -> TailFormula:
     return TailFormula(k=k, zeta_terms=tuple(terms))
 
 
+def _evaluate_merged(
+    exps: tuple[float, ...],
+    merged: dict[tuple[float, ...], Fraction | int],
+    target_eps: float | None,
+) -> EvalReport:
+    """The tail sum at ``exps`` from its merged indices and their
+    coefficients; :func:`evaluate_formula` and :func:`tail_product_sum`
+    differ only in where ``merged`` comes from."""
+    k = len(exps)
+    if target_eps is None:
+        target_eps = numerics.DEFAULT_EPS if k <= 2 else numerics.DEFAULT_EPS_DEEP
+    for args in merged:
+        if not converges(args):
+            raise DomainError(f"instantiated index {args} does not converge")
+    coeff_scale = sum(max(1.0, abs(float(c))) for c in merged.values())
+    per = target_eps / (4.0 * coeff_scale)
+    ordered = sorted(merged.items())
+    values = numerics._mzv_many([args for args, _ in ordered], max(per / 2.0, 1e-10))
+    terms = [coeff * value for (_, coeff), value in zip(ordered, values)]
+    z_eps = target_eps / (8.0 * max(1, k) * 4.0)
+    product = EvalReport.prod(
+        numerics.zeta(p, max(z_eps, numerics._zeta_floor(p))) for p in exps
+    )
+    # scaled by -1, not negated, so the product's bound carries one rounding
+    # like every other scaled term
+    rep = EvalReport.fsum(terms + [-1 * product])
+    if rep.abs_error_bound > target_eps:
+        raise PrecisionError(f"tail sum: achieved bound {rep.abs_error_bound} > {target_eps}")
+    return rep
+
+
 def evaluate_formula(
     formula: TailFormula,
     exponents: ExponentList | Sequence[float],
@@ -193,27 +255,27 @@ def evaluate_formula(
     product is subtracted, all in :class:`EvalReport` arithmetic.
     """
     exps = as_args(exponents)
-    if target_eps is None:
-        target_eps = numerics.DEFAULT_EPS if formula.k <= 2 else numerics.DEFAULT_EPS_DEEP
-    merged = formula.merged_by_value(exps)
-    for args in merged:
-        if not converges(args):
-            raise DomainError(f"instantiated index {args} does not converge")
-    coeff_scale = sum(max(1.0, abs(float(c))) for c in merged.values())
-    per = target_eps / (4.0 * coeff_scale)
-    ordered = sorted(merged.items())
-    values = numerics._mzv_many([args for args, _ in ordered], max(per / 2.0, 1e-10))
-    terms = [coeff * value for (_, coeff), value in zip(ordered, values)]
-    z_eps = target_eps / (8.0 * max(1, formula.k) * 4.0)
-    product = EvalReport.prod(
-        numerics.zeta(p, max(z_eps, numerics._zeta_floor(p))) for p in exps
-    )
-    # scaled by -1, not negated, so the product's bound carries one rounding
-    # like every other scaled term
-    rep = EvalReport.fsum(terms + [-1 * product])
-    if rep.abs_error_bound > target_eps:
-        raise PrecisionError(f"tail sum: achieved bound {rep.abs_error_bound} > {target_eps}")
-    return rep
+    return _evaluate_merged(exps, formula.merged_by_value(exps), target_eps)
+
+
+def tail_product_sum(
+    exponents: ExponentList | Sequence[float], target_eps: float | None = None
+) -> EvalReport:
+    """Sum over n of the product of the k zeta tails after n, by the closed
+    form: the formula-route twin of :func:`numerics.brute_tail_product_sum`.
+
+    Equals ``evaluate_formula(tail_product_formula(exponents), exponents,
+    target_eps)`` bit for bit and refuses alike, but takes the merged
+    indices straight from the exponents instead of listing the formula's
+    Fubini(k) terms.
+    """
+    exps = _check_exponents(exponents)
+    # The first merged index in sorted order is the all-singletons one in
+    # ascending order, of depth k: any block of two or more exponents, or
+    # the lowered final block, exceeds the smallest exponent left.  The walk
+    # checks its depth before anything else.
+    numerics._require_depth(len(exps))
+    return _evaluate_merged(exps, _merged_indices(exps), target_eps)
 
 
 def proposition_kk1(k: float, target_eps: float | None = None) -> tuple[EvalReport, EvalReport]:

@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import gc
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from zetatails import (
     polylog,
     tail,
     tail_product_formula,
+    tail_product_sum,
     zeta,
 )
 
@@ -363,6 +366,66 @@ class TestPrefixWalk:
             numerics._mzv_many(indices, eps)
         assert (type(info.value), str(info.value)) == expected
         assert type(info.value) is error and fragment in str(info.value)
+
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 5])
+    def test_depths_wider_than_the_row_block(self, block, monkeypatch):
+        # a row block that splits the kept rows of one depth, and one that
+        # splits the children of one parent
+        if block is not None:
+            monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        exps = (1.4, 2.7, 1.9, 3.2)
+        indices = list(tail_product_formula(exps).merged_by_value(exps))
+        widest = max(sum(len(a) > j for a in {a[: j + 1] for a in indices}) for j in range(4))
+        assert widest > numerics._ROW_BLOCK
+        for args, rep in zip(indices, numerics._mzv_many(indices, 1e-10)):
+            assert _fields(rep) == _mzv_by_index(args, 1e-10), args
+
+    def test_argument_minus_one_half_in_a_wide_depth(self):
+        # alone, ns ** 0.5 is a square root; the array power of a 2-D pass
+        # differs from it in the last bit at some grid points
+        a = 4.073218726760583
+        indices = [(a, -0.5), (a, 2.024460323623736), (a, 2.408425383179437), (a, 0.4628068429678577)]
+        for args, rep in zip(indices, numerics._mzv_many(indices, 1e-9)):
+            assert _fields(rep) == _mzv_by_index(args, 1e-9), args
+
+    @pytest.mark.parametrize(
+        "indices,eps,error,fragment",
+        [
+            # a doubling miss, found after the tree is built, sorts first
+            ([(2.0,) * 6, (1.000002, 2.0), (1.5, 1.5)], 1e-10, PrecisionError, "best bound"),
+            # a margin refusal ends the walk before the non-finite bound
+            ([(400.0, -300.0), (2.0, 1e-7), (3.0,)], 1e-9, DomainError, "within"),
+        ],
+        ids=["miss-before-depth", "margin-before-overflow"],
+    )
+    def test_refusals_from_different_phases(self, indices, eps, error, fragment):
+        expected = _first_refusal(indices, eps)
+        with pytest.raises((DomainError, PrecisionError)) as info:
+            numerics._mzv_many(indices, eps)
+        assert (type(info.value), str(info.value)) == expected
+        assert type(info.value) is error and fragment in str(info.value)
+
+    def test_refusal_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for indices in ([(1.5, 2.0), (2.0,) * 6], [(2.0, 2.0), (1.000002, 2.0)]):
+                with pytest.raises((DomainError, PrecisionError)):
+                    numerics._mzv_many(indices, 1e-10)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_memory_peak_of_a_fivefold_tail_sum(self):
+        tail_product_sum((1.6, 2.2, 2.8, 3.3, 1.8))
+        tracemalloc.start()
+        try:
+            tail_product_sum((1.7, 2.3, 2.9, 3.4, 1.9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * 2**20
 
 
 class TestMzvIntegral:

@@ -4,7 +4,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ from zetatails import (
     TailFormula,
     repeated_tail_formula,
     tail_product_formula,
+    tail_product_sum,
     weak_ordering_count,
     zeta,
 )
@@ -327,6 +331,116 @@ class TestEvaluateFormula:
         f = tail_product_formula((3.0, 3.0))
         with pytest.raises(DomainError):
             evaluate_formula(f, (1.5, 1.5))
+
+
+def _outcome(route):
+    """(value, bound, terms_used) of a served call, or the class and message
+    of its refusal."""
+    try:
+        rep = route()
+    except (DomainError, PrecisionError) as exc:
+        return type(exc), str(exc)
+    return rep.value, rep.abs_error_bound, rep.terms_used
+
+
+def _random_exponents(rng, k):
+    while True:
+        exps = tuple(rng.uniform(1.25, 4.0) for _ in range(k))
+        if sum(exps) > k + 1.5:
+            return exps
+
+
+class TestTailProductSum:
+    """``tail_product_sum`` is ``evaluate_formula`` on the full formula, bit
+    for bit, without listing the formula's terms."""
+
+    @staticmethod
+    def _both(exps, eps):
+        return (
+            _outcome(lambda: evaluate_formula(tail_product_formula(exps), exps, eps)),
+            _outcome(lambda: tail_product_sum(exps, eps)),
+        )
+
+    def test_matches_the_formula_route(self):
+        rng = random.Random(80)
+        lists = [_random_exponents(rng, 1 + j % 5) for j in range(40)]
+        # repeated exponents, and block sums that coincide: 1.5 + 2.5 == 4.0
+        lists += [(2.0,) * 5, (2.5, 2.5, 3.0, 3.0), (1.5, 2.5, 4.0, 3.0)]
+        for j, exps in enumerate(lists):
+            eps = (None, 1e-9, 1e-7)[j % 3]
+            listed, direct = self._both(exps, eps)
+            assert isinstance(listed[0], float), (exps, listed)
+            assert direct == listed, exps
+
+    @pytest.mark.parametrize(
+        "exps,eps",
+        [
+            ((2.0,) * 9, None),
+            ((0.9, 3.0, 3.0), None),
+            ((1.25, 1.25, 1.5), None),  # the sum is exactly k + 1
+            ((1.0000001, 3.0, 3.0), None),  # within the margin of 1
+            ((1.5, 2.5, 3.5, 1.7), 1e-12),  # the summed radius misses the target
+            ((2.1, 2.2, 2.3, 2.4, 2.5, 2.6), None),
+        ],
+    )
+    def test_refuses_as_the_formula_route(self, exps, eps):
+        listed, direct = self._both(exps, eps)
+        assert issubclass(listed[0], Exception), listed
+        assert direct == listed
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_merged_indices_match_merged_by_value(self, k):
+        rng = random.Random(90 + k)
+        lists = [_random_exponents(rng, k) for _ in range(3)]
+        if k == 6:
+            lists.append((2.0, 2.1, 2.2, 2.3, 2.4, 2.5))
+        for exps in lists:
+            merged = tails._merged_indices(exps)
+            assert merged == tail_product_formula(exps).merged_by_value(exps)
+            assert all(type(c) is int for c in merged.values())
+            assert sum(merged.values()) == weak_ordering_count(k)
+        if k == 6:
+            # float coincidences among the block sums merge 153 of 4683 terms
+            assert len(merged) == 4530
+
+    def test_builds_no_formula_terms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tail_product_sum listed the formula")
+
+        monkeypatch.setattr(tails, "BlockTerm", refuse)
+        monkeypatch.setattr(tails, "TailFormula", refuse)
+        exps = (1.7, 2.3, 2.9, 3.4)
+        assert tail_product_sum(exps).abs_error_bound <= numerics.DEFAULT_EPS_DEEP
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_past_max_depth_is_refused_at_once(self, k):
+        # listing and merging the formula's 545835 terms to reach the
+        # refusal took 26 s and 587 MB at k = 8
+        src = os.path.dirname(os.path.dirname(tails.__file__))
+        child = (
+            "import time, sys\n"
+            "from zetatails import cli\n"
+            "start = time.perf_counter()\n"
+            f"code = cli.main(['tail-sum', '--exponents', {','.join(str(2.1 + 0.1 * j) for j in range(k))!r}])\n"
+            "elapsed = time.perf_counter() - start\n"
+            "status = '/proc/self/status'\n"
+            "hwm = [l for l in open(status) if l.startswith('VmHWM')] if sys.platform == 'linux' else []\n"
+            "print(code, elapsed, hwm[0].split()[1] if hwm else 0)\n"
+        )
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        code, elapsed, hwm_kb = proc.stdout.split()
+        assert int(code) == 2
+        assert f"depth {k} exceeds the supported maximum 5" in proc.stderr
+        assert float(elapsed) < 2.0
+        if sys.platform.startswith("linux"):
+            assert int(hwm_kb) < 64 * 1024
 
 
 class TestPropositions:
