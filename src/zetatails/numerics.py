@@ -3,7 +3,7 @@
 Every public operation returns an :class:`EvalReport` carrying a value and a
 bound on its absolute error.  The bounds are propagated honestly: series
 truncations use Euler-Maclaurin remainders or integral-test estimates,
-quadrature panels carry conservative rule-difference estimates, and float
+quadrature panels carry Bernstein-ellipse remainder bounds, and float
 rounding is budgeted explicitly.
 
 The workhorse is an asymptotic representation of zeta-function tails,
@@ -29,15 +29,15 @@ distinct prefix gets its expansion once, and the levels at the first cutoff
 are then built one depth at a time, a block of nodes per 2-D array pass.
 The same machinery accelerates the outer sum of a product of tails.
 
-The double-series integral representation is integrated by Gauss-Legendre
-panels on a geometrically graded mesh under one error budget: while the
-panel bounds sum past it, the panel with the largest bound is halved, and a
-budget that halving cannot meet is refused at once.  Near t = 0 the factor
-Li_q(e^(-t)) is produced from its |t| < 2*pi expansion because e^(-t) is
-indistinguishable from 1 in double precision there.  For t >= 0.5, and for
-the public :func:`polylog`, the series sum_m x^m m^(-q) is summed directly by
-one kernel that forms its terms a block at a time and keeps only per-block
-sums.
+The double-series integral representation is split at t = 1/2.  Below it
+the expansions of Li_q(e^(-t)) and t/(e^t - 1) around t = 0 are integrated
+term by term, with the poles of the Gamma term and its zeta partner paired
+exactly near integer q; e^(-t) is never formed there.  Above it one
+16-point Gauss-Legendre rule per panel of a doubling mesh carries a
+Bernstein-ellipse remainder bound, and an analytic bound closes the tail.
+For t >= 1/2, and for the public :func:`polylog`, the series
+sum_m x^m m^(-q) is summed directly by one kernel that forms its terms a
+block at a time and keeps only per-block sums.
 """
 
 from __future__ import annotations
@@ -787,29 +787,30 @@ def brute_tail_product_sum(
 
 
 # ---------------------------------------------------------------------------
-# Zeta on the real line (internal, for the polylog expansion near 1)
+# The integral representation: an analytic head on [0, 1/2], Gauss-Legendre
+# panels on [1/2, T] and an analytic tail
 # ---------------------------------------------------------------------------
+
 
 @lru_cache(maxsize=8192)
 def _zeta_line(s: float) -> tuple[float, float]:
     """(value, bound) for zeta at any real s != 1.
 
-    For s > 1.5 this is the plain series machinery.  On [-0.5, 1.5) the
-    tail-corrected partial sum is used unchanged: read as an identity in s
-    it extends across the critical strip, with the same first-omitted-term
-    remainder bound for s > -5.  Further left the reflection formula maps
-    back to arguments >= 2.5.
+    From s = -0.5 on this is the partial sum to 64 plus the tail expansion
+    at 64: read as an identity in s it extends across the critical strip,
+    with the same first-omitted-term remainder bound for s > -5.  Further
+    left the reflection formula maps back to arguments >= 1.5, and the
+    bound also covers any argument within half an ulp of s, as
+    |zeta'| <= A(s) zeta(1-s) (6 + log(1-s)) there: a caller's q - n
+    rounds only left of -1/2 (Sterbenz).
     """
-    if s > 1.5:
-        rep = _zeta_cached(s, 1e-12)
-        return rep.value, rep.abs_error_bound
     if s >= -0.5:
         # 64 positive terms, each pow within an ulp, and one fsum: 2 eps of
         # the partial sum; the expansion's own rounding is in tb
         partial = math.fsum(i ** (-s) for i in range(1, 65))
         tv, tb = _pt_eval(_zeta_tail_pt(s), 64)
         return partial + tv, tb + 4.0 * _EPS * (abs(partial) + abs(tv))
-    # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
+    # zeta(s) = A(s) sin(pi s / 2) zeta(1-s), A(s) = 2^s pi^(s-1) Gamma(1-s)
     zv, zb = _zeta_line(1.0 - s)
     log_amp = s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + math.lgamma(1.0 - s)
     amp = math.exp(log_amp)
@@ -817,97 +818,183 @@ def _zeta_line(s: float) -> tuple[float, float]:
     value = amp * sin_val * zv
     # sin suffers absolute error ~ eps * |pi s / 2| from argument reduction
     sin_err = 2.0 * _EPS * (abs(math.pi * s / 2.0) + 1.0)
-    bound = amp * (abs(sin_val) * (zb + 8.0 * _EPS * abs(zv)) + sin_err * abs(zv))
+    slip = 0.5 * _EPS * abs(s) * (6.0 + math.log(1.0 - s))
+    bound = amp * (abs(sin_val) * (zb + 8.0 * _EPS * abs(zv)) + (sin_err + slip) * abs(zv))
     return value, bound * 1.01 + 4.0 * _EPS * abs(value)
 
 
-# ---------------------------------------------------------------------------
-# Li_q(e^-t) for quadrature nodes
-# ---------------------------------------------------------------------------
-
-_LI_SMALL_T = 0.5
+#: Where the head ends and the panels begin; a power of two, so that
+#: _HEAD_T^k is exact.
+_HEAD_T = 0.5
 
 
-def _li_series_bound(q: float, t: np.ndarray, m: int) -> np.ndarray:
-    """Majorant of the terms zeta(q-n) (-t)^n / n! summed over n > m.
+def _bernoulli(count: int) -> tuple[float, ...]:
+    """B_j / j! for j < count, the Taylor coefficients of t / (e^t - 1),
+    rounded once from their exact values."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        b.append(-sum(b[k] / math.factorial(m + 1 - k) for k in range(m)))
+    return tuple(float(x) for x in b)
+
+
+#: B_j / j! for j < 24; |B_j| / j! <= 4 / (2 pi)^j bounds the rest.
+_BERNOULLI = _bernoulli(24)
+
+
+def _li_series_bound(q: float, t: float, m: int) -> float:
+    """Majorant at 0 < t <= _HEAD_T of |zeta(q-n)| t^n / n! summed over
+    n > m >= q.
 
     Uses |zeta(q-n)| <= 2 (2 pi)^(q-n-1) Gamma(1+n-q) zeta(1+n-q) for
     n - q >= 1, and a geometric ratio below (t/2pi)(1 + |q|/(m+2)).
     """
     n1 = m + 1
-    lead = (
-        6.0
-        * (2.0 * math.pi) ** (q - 1.0)
-        * math.exp(math.lgamma(1.0 + n1 - q) - math.lgamma(n1 + 1.0))
-        * (t / (2.0 * math.pi)) ** n1
-    )
-    rho = (np.max(t) / (2.0 * math.pi)) * (1.0 + abs(q) / (m + 2.0))
+    rho = (t / (2.0 * math.pi)) * (1.0 + abs(q) / (m + 2.0))
     if rho >= 0.5:
-        raise PrecisionError("polylog expansion called outside its safe range")
-    return lead / (1.0 - rho)
+        raise PrecisionError(f"Li_{q}(e^-t): expansion called outside its safe range")
+    log_lead = (
+        (q - 1.0) * math.log(2.0 * math.pi)
+        + math.lgamma(1.0 + n1 - q)
+        - math.lgamma(n1 + 1.0)
+        + n1 * math.log(t / (2.0 * math.pi))
+    )
+    return 6.0 * math.exp(log_lead) / (1.0 - rho)
 
 
-def _li_exp_small_t(q: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Li_q(e^-t) for 0 < t <= 0.5 via the expansion around t = 0."""
-    q_round = round(q)
-    is_int = abs(q - q_round) < 1e-9 and q_round >= 1
-    n_min = int(max(12, math.ceil(abs(q)) + 4, math.ceil(q) + 3))
-    values = np.zeros_like(t)
-    err = np.zeros_like(t)
-    max_abs = np.zeros_like(t)
-    if is_int:
-        # q = 1 never gets here: _li_exp_neg serves it in closed form
-        m = int(q_round)
-        h = math.fsum(1.0 / l for l in range(1, m))
-        log_term = (-t) ** (m - 1) / math.factorial(m - 1) * (h - np.log(t))
-        values = values + log_term
-        max_abs = np.maximum(max_abs, np.abs(log_term))
-    else:
-        gamma_term = math.gamma(1.0 - q) * t ** (q - 1.0)
-        values = values + gamma_term
-        max_abs = np.maximum(max_abs, np.abs(gamma_term))
-    tpow = np.ones_like(t)
-    fact = 1.0
-    n = 0
-    while True:
-        if not (is_int and n == q_round - 1):
+def _expm1_over(x: float, e: float) -> float:
+    """(e^(e x) - 1) / e, and its limit x at e = 0."""
+    return math.expm1(e * x) / e if e else x
+
+
+def _pole_pair(m: int, e: float) -> tuple[float, float, float, float]:
+    """(c, c_err, g, g_err) at q = m + 1 + e, |e| <= 1/2, for
+    c = Gamma(1-q) + zeta(1+e) s and g = Gamma(1-q) e, s = (-1)^m / m!.
+
+    Both are finite at e = 0.  Gamma(1-q) = -s exp(lam e) / e, with
+    lam e = log Gamma(1-e) - sum_{i<=m} log1p(e/i) and log Gamma(1-e) =
+    gamma e + sum_{k>=2} zeta(k) e^k / k; so g = -s exp(lam e) and
+    c = s (zeta(1+e) - 1/e - expm1(lam e) / e).  zeta(1+e) - 1/e is the
+    Euler-Maclaurin sum of :func:`_zeta_tail_pt` at 256, with its leading
+    term less 1/e formed as expm1(-e log 256) / e.
+    """
+    s = (-1) ** m / math.factorial(m)  # 0.0 past m = 170
+    parts = [0.5772156649015329]  # Euler's gamma, then the zeta(k) e^(k-1) / k
+    lam_err, k = 0.0, 2
+    while abs(e) ** (k - 1) > 2.0**-60:
+        zv, zb = _zeta_line(float(k))
+        parts.append(zv * e ** (k - 1) / k)
+        lam_err += zb * abs(e) ** (k - 1) / k
+        k += 1
+    lam_err += 2.0 * abs(e) ** (k - 1) / (k * (1.0 - abs(e)))  # the rest, zeta(k) <= 2
+    parts += [-(math.log1p(e / i) / e if e else 1.0 / i) for i in range(1, m + 1)]
+    lam = math.fsum(parts)
+    lam_err += 4.0 * _EPS * math.fsum(abs(p) for p in parts)
+    cut = 256.0
+    partial = math.fsum(np.power(np.arange(1.0, cut + 1.0), -1.0 - e).tolist())
+    em = [
+        _expm1_over(-math.log(cut), e),
+        -0.5 * cut ** (-1.0 - e),
+        (1.0 + e) / 12.0 * cut ** (-2.0 - e),
+        -(1.0 + e) * (2.0 + e) * (3.0 + e) / 720.0 * cut ** (-4.0 - e),
+    ]
+    zeta_rest = math.fsum([partial, *em])
+    zeta_err = (1.0 + e) * (2.0 + e) * (3.0 + e) * (4.0 + e) * (5.0 + e) / 30240.0
+    zeta_err = zeta_err * cut ** (-6.0 - e) + 8.0 * _EPS * (partial + math.fsum(map(abs, em)))
+    grow = math.exp(abs(lam * e) + abs(lam_err * e))
+    phi = _expm1_over(lam, e)
+    c_err = zeta_err + grow * lam_err + 4.0 * _EPS * (abs(zeta_rest) + abs(phi))
+    g_err = grow * (abs(e) * lam_err + 4.0 * _EPS)
+    return s * (zeta_rest - phi), abs(s) * c_err, -s * math.exp(lam * e), abs(s) * g_err
+
+
+def _li_exp_coefs(q: float, count: int) -> tuple[list, list, int | None, float, float]:
+    """(c, err, pair, sing, sing_err): Li_q(e^-t) for 0 < t < 2 pi as
+    sum_{n<count} c_n t^n, each c_n within err[n], the rest past it, and one
+    singular term, within sing_err:
+
+    * pair None: sing t^(q-1), sing = Gamma(1-q), and c_n = zeta(q-n) (-1)^n / n!;
+    * pair m, within 1/2 of q = m + 1: sing t^m (t^e - 1) / e with
+      e = q - m - 1 (t^m log t at e = 0); c_m and sing are the pole pair of
+      :func:`_pole_pair`, so integer q needs no case of its own.
+    """
+    pair = math.floor(q + 0.5) - 1
+    if pair < 0:
+        pair, sing = None, math.gamma(1.0 - q)
+        sing_err = 16.0 * _EPS * abs(sing)
+    coef, err = [], []
+    for n in range(count):
+        if n == pair:
+            c, c_err, sing, sing_err = _pole_pair(n, q - n - 1.0)
+        else:
             zv, zb = _zeta_line(q - n)
-            term = zv * tpow / fact
-            values = values + term
-            err = err + zb * np.abs(tpow) / fact
-            max_abs = np.maximum(max_abs, np.abs(term))
-        n += 1
-        tpow = tpow * (-t)
-        fact *= n
-        if n >= n_min:
-            rem = _li_series_bound(q, t, n)
-            if np.all(rem <= 1e-18 * (1.0 + max_abs)):
-                break
-        if n > 80:
-            rem = _li_series_bound(q, t, n)
+            inverse = 1 / math.factorial(n)  # correctly rounded, 0.0 past n = 170
+            c, c_err = (-1) ** n * zv * inverse, zb * inverse
+        coef.append(c)
+        err.append(c_err)
+    return coef, err, pair, sing, sing_err
+
+
+#: Most terms of the Li_q(e^-t) expansion the head takes; it needs more than q.
+_MAX_HEAD_TERMS = 1024
+
+
+def _head(r: float, q: float) -> tuple[float, float, int]:
+    """(value, bound, terms) of the integral of t^(r-1) Li_q(e^-t) / (e^t - 1)
+    over [0, d], d = _HEAD_T: the expansions of Li_q(e^-t) and t / (e^t - 1)
+    integrated term by term.
+
+    c_n t^n b_j t^j integrates to d^(r-1+n+j) / (r-1+n+j), the Gamma term
+    to d^(r+q-2+j) / (r+q-2+j), and a pole pair t^m (t^e - 1) / e to
+    d^a (a expm1(e log d) / e - 1) / (a (a+e)), a = r - 1 + m + j.  The
+    bound adds the coefficient errors, a rounding charge per term, the
+    Li series past its last term, and the Bernoulli series past
+    _BERNOULLI against Li_q(e^-t) <= Li_q'(e^-t) <= Gamma(1-q') t^(q'-1),
+    q' = min(q, 1/2), plus the largest term (|q|/e)^|q| t^q for q < 0: the
+    sum of x^-q e^(-xt) is below its integral and its peak.
+    """
+    d, p0 = _HEAD_T, r - 1.0  # exact for r > 1
+    scale = 1.0 if q >= 0.0 else math.gamma(1.0 - q) * d ** (q - 1.0)
+    count = max(16, math.ceil(abs(q)) + 4)
+    if count > _MAX_HEAD_TERMS:
+        raise PrecisionError(f"Li_{q}(e^-t): the expansion needs over {_MAX_HEAD_TERMS} terms")
+    while (rest := _li_series_bound(q, d, count - 1)) > 1e-18 * scale:
+        if count + 8 > _MAX_HEAD_TERMS:
             break
-    err = err + rem + 8.0 * _EPS * (max_abs + np.abs(values)) * (n + 2.0)
-    return values, err
+        count += 8
+    coef, err, pair, sing, sing_err = _li_exp_coefs(q, count)
+    b, j = np.array(_BERNOULLI), np.arange(len(_BERNOULLI))
+    nj = np.arange(count)[:, None] + j
+    w = np.ldexp(d**p0, -nj) / (p0 + nj)  # integrals of t^(r-2+n+j)
+    terms = np.array(coef)[:, None] * b * w
+    p1 = math.fsum((r, q, -2.0))  # r + q - 2, correctly rounded
+    if pair is None:
+        sing_terms = sing * b * (np.ldexp(d**p1, -j) / (p1 + j))
+    else:
+        a = p0 + pair + j
+        sing_terms = sing * b * np.ldexp(d**p0, -(pair + j))
+        sing_terms *= (a * _expm1_over(math.log(d), q - pair - 1.0) - 1.0) / (a * (p1 + j))
+    abs_sing = float(np.abs(sing_terms).sum())
+    trunc_li = rest * d**p0 / (r + count - 1.0)
+    p = p0 + len(b)  # the Bernoulli remainder's t^(r-2+24) against the majorant
+    qm = min(q, 0.5)
+    majorant = math.gamma(1.0 - qm) * d ** (p + qm - 1.0) / (p + qm - 1.0) + rest * d**p / p
+    if q < 0.0:
+        majorant += (-q / math.e) ** -q * d ** (p + q) / (p + q)
+    value = math.fsum([*terms.ravel().tolist(), *sing_terms.tolist()])
+    bound = _up(
+        float(np.array(err) @ (np.abs(b) * w).sum(axis=1)),
+        sing_err / max(abs(sing), _TINY) * abs_sing,
+        trunc_li,
+        4.0 * (2.0 * math.pi) ** -len(b) / (1.0 - d / (2.0 * math.pi)) * majorant,
+        _EPS * (6.0 * float(np.abs(terms).sum()) + 16.0 * abs_sing + abs(value)),
+    )
+    return value, bound, count
 
 
 def _li_exp_neg(q: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if abs(q - round(q)) < 1e-9 and round(q) == 1:
-        vals = -np.log(-np.expm1(-t))
-        return vals, 8.0 * _EPS * (np.abs(vals) + 1.0)
-    if float(np.max(t)) <= _LI_SMALL_T + 1e-12:
-        return _li_exp_small_t(q, t)
+    """Li_q(e^-t) for t >= _HEAD_T by the direct series, with error bounds."""
     values, bounds, _ = _li_series(q, np.exp(-t), 1e-18, lambda: f"Li_{q}(e^-t): 1e-18")
     return values, bounds
-
-
-# ---------------------------------------------------------------------------
-# Quadrature for the integral representation
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
 
 
 def _integrand_factory(r: float, q: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -921,60 +1008,96 @@ def _integrand_factory(r: float, q: float) -> Callable[[np.ndarray], tuple[np.nd
     return f
 
 
-#: Most panels one quadrature may hold, graded mesh included; the lower cut
-#: never places more than about 810 mesh panels.
-_MAX_PANELS = 2000
+@lru_cache(maxsize=8)
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float, float, float, float]:
-    """Gauss-Legendre 16/32 pair on [a, b]: (a, b, I32, bound, floor).
+#: |I - I_16| <= half * _GL_REMAINDER * max|f| on the Bernstein ellipse
+#: E_rho, rho = 4, of a panel of half-width ``half`` (Trefethen, SIAM
+#: Review 2008, Thm 4.5: (64/15) rho^(-2n) / (rho^2 - 1), n = 16).  The
+#: ellipse's real semi-axis is _RHO_AXIS half-widths.
+_GL_REMAINDER = 64.0 / 15.0 * 4.0**-32 / (4.0**2 - 1.0)
+_RHO_AXIS = 0.5 * (4.0 + 1.0 / 4.0)
 
-    ``floor`` is the part of ``bound`` that splitting the panel does not
-    shrink: the integrand's own error and the rounding of I32.
+#: The real semi-axis of the thinner ellipse (rho = 3/2) on which Cauchy's
+#: estimate bounds f' at distance (_NODE_AXIS - 1) * half for the node rounding.
+_NODE_AXIS = 0.5 * (1.5 + 1.0 / 1.5)
+
+#: Most rounds in which :func:`_panels` halves panels.
+_PANEL_SPLITS = 6
+
+
+def _ellipse_bounds(
+    r: float, q: float, a: np.ndarray, b: np.ndarray, axis: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, L) per panel [a, b]: M >= |f| and L >= |Li_q(e^-t)| on its
+    ellipse of real semi-axis ``axis`` half-widths, f = t^(r-1) Li_q(e^-t) / (e^t - 1).
+
+    There |t^(r-1)| <= |t|max^(r-1), |Li_q(e^-t)| <= Li_q(e^-Re t) term by
+    term and |e^t - 1| >= e^(Re t) - 1, so real evaluations suffice.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x16, w16 = _gl_rule(16)
-    x32, w32 = _gl_rule(32)
-    v16, _ = f(mid + half * x16)
-    v32, e32 = f(mid + half * x32)
-    i16 = half * float(np.dot(w16, v16))
-    i32 = half * float(np.dot(w32, v32))
-    feval = half * float(np.dot(w32, e32))
-    bound = 1.5 * abs(i32 - i16) + feval + 8.0 * _EPS * abs(i32)
-    if not math.isfinite(bound):
-        raise PrecisionError(f"quadrature: non-finite error bound on [{a}, {b}]")
-    return a, b, i32, bound, feval + 8.0 * _EPS * abs(i32)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    low = mid - axis * half
+    # no panel is wider than its left end, which keeps low >= 0.4375 a
+    assert (low > 0.0).all(), "a Bernstein ellipse reaches Re t <= 0"
+    li, li_err, _ = _li_series(q, np.exp(-low), 1e-3, lambda: f"Li_{q}(e^-t) on an ellipse")
+    li_up = 1.01 * (li + li_err)
+    return 1.01 * (mid + axis * half) ** (r - 1.0) * li_up / np.expm1(low), li_up
 
 
-def _quadrature(f, edges: Sequence[float], budget: float) -> tuple[float, float, int]:
-    """Integral of f over [edges[0], edges[-1]] with one error budget.
+def _panels(r: float, q: float, t_cut: float, budget: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, M) of the panels covering [_HEAD_T, t_cut], M on each E_rho.
 
-    Panels stay in mesh order; while their bounds sum past ``budget`` the
-    panel with the largest bound is split in place.  Returns the value, the
-    bound, both summed left to right, and the integrand evaluations.
+    The mesh doubles from _HEAD_T.  For at most _PANEL_SPLITS rounds, a
+    panel is halved while its remainder bound exceeds both 2 eps f(mid),
+    about its rounding, and ``budget`` per unit of t, times its width.
     """
-    panels = [_panel(f, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    evals = 48 * len(panels)
-    while sum(p[3] for p in panels) > budget:
-        floor = sum(p[4] for p in panels)
-        if floor > budget:
-            raise PrecisionError(f"quadrature: integrand error {floor} exceeds budget {budget}")
-        if len(panels) >= _MAX_PANELS:
-            raise PrecisionError(f"quadrature: budget {budget} not met with {_MAX_PANELS} panels")
-        i = max(range(len(panels)), key=lambda j: panels[j][3])
-        a, b = panels[i][:2]
+    edges = [_HEAD_T]
+    while edges[-1] < t_cut:
+        edges.append(min(t_cut, 2.0 * edges[-1]))
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    f = _integrand_factory(r, q)
+    for _ in range(_PANEL_SPLITS):
+        big = _ellipse_bounds(r, q, a, b, _RHO_AXIS)[0]
         mid = 0.5 * (a + b)
-        if not a < mid < b:
-            raise PrecisionError(f"quadrature stalled on [{a}, {b}]: bound {panels[i][3]}")
-        panels[i : i + 1] = [_panel(f, a, mid), _panel(f, mid, b)]
-        evals += 96
-    total = 0.0
-    total_bound = 0.0
-    for _, _, val, bnd, _ in panels:
-        total += val
-        total_bound += bnd
-    return total, total_bound, evals
+        share = np.maximum(2.0 * _EPS * f(mid)[0], budget / (t_cut - _HEAD_T))
+        over = _GL_REMAINDER * 0.5 * big > share
+        if not over.any():
+            return a, b, big
+        a, b = np.sort(np.concatenate([a, mid[over]])), np.sort(np.concatenate([b, mid[over]]))
+    return a, b, _ellipse_bounds(r, q, a, b, _RHO_AXIS)[0]
+
+
+def _panel_sums(
+    r: float, q: float, a: np.ndarray, b: np.ndarray, big: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I, bound) per panel [a, b]: the 16-point Gauss-Legendre sum, all
+    nodes in one integrand call, and its error bound.
+
+    The bound adds the remainder from ``big``, the integrand's own error,
+    the weights and the sum, and the rounding of the nodes (4 eps b, and
+    eps b at each end) and of e^-t (4 eps in t), through f' and the slope
+    of Li_q(e^-t) by Cauchy's estimate on the _NODE_AXIS ellipse.
+    """
+    x16, w16 = _gl_rule(16)
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * x16
+    # t^(r-1) can overflow at large r; the caller refuses a non-finite bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, errs = _integrand_factory(r, q)(nodes.ravel())
+        parts = half * (vals.reshape(nodes.shape) @ w16)
+        thin, li_up = _ellipse_bounds(r, q, a, b, _NODE_AXIS)
+        front = np.maximum(a ** (r - 1.0), b ** (r - 1.0)) / np.expm1(a)
+        reach = _NODE_AXIS - 1.0
+        bounds = (
+            _GL_REMAINDER * half * big
+            + half * (errs.reshape(nodes.shape) @ w16)
+            + 32.0 * _EPS * parts
+            + _EPS * b * thin * (8.0 / reach + 2.0)
+            + 8.0 * _EPS * front * li_up / reach
+        )
+    return parts, bounds
 
 
 def _li_large_t_coef(q: float, t_cut: float) -> float:
@@ -1005,46 +1128,18 @@ def _upper_cut(r: float, q: float, budget: float) -> tuple[float, float]:
     raise PrecisionError("could not place the upper integration cut")
 
 
-def _head_bound(r: float, q: float, delta: float) -> float:
-    """Upper bound for the integral over (0, delta], using 1/(e^t - 1) <= 1/t."""
-    if q > 1.0 + 1e-9:
-        zv, zb = _zeta_line(q)
-        return (zv + zb) * delta ** (r - 1.0) / (r - 1.0)
-    if abs(q - 1.0) <= 1e-9:
-        # Li_1(e^-t) <= log(1/t) + 0.3 for t <= 1/2
-        return delta ** (r - 1.0) / (r - 1.0) * (
-            math.log(1.0 / delta) + 0.3 + 1.0 / (r - 1.0)
-        )
-    head = math.gamma(1.0 - q) * delta ** (r + q - 2.0) / (r + q - 2.0)
-    if q < 0.0:
-        head += (abs(q) / math.e) ** abs(q) * delta ** (r + q - 1.0) / (r + q - 1.0)
-    return head
-
-
-def _lower_cut(r: float, q: float, budget: float) -> tuple[float, float]:
-    delta = 0.25
-    for _ in range(800):
-        bound = _head_bound(r, q, delta)
-        if bound <= budget:
-            return delta, bound
-        delta *= 0.5
-    raise PrecisionError("could not place the lower integration cut")
-
-
 def mzv_integral(r: float, q: float, target_eps: float = DEFAULT_EPS) -> EvalReport:
     """Depth-two nested zeta value via its integral representation,
 
         (1/Gamma(r)) * integral_0^inf  t^(r-1) Li_q(e^-t) / (e^t - 1) dt,
 
-    valid for real r > 1 and q > 2 - r.  Gauss-Legendre panels on a
-    geometrically graded mesh cover [delta, T]; the end regions are bounded
-    analytically.  Panel error estimates come from a 16/32-point rule pair
-    with a safety factor, so the reported bound is conservative but not a
-    formal proof on the panel interiors.  All panels share one budget: the
-    panel with the largest bound is halved until the bounds fit it.  Raises
-    :class:`PrecisionError` at once when a panel bound is not finite, when
-    the integrand's own error alone exceeds the budget, when a panel can no
-    longer be halved, or at ``_MAX_PANELS`` panels.
+    valid for real r > 1 and q > 2 - r, in three pieces, each with a
+    rigorous bound: [0, 1/2] from the expansions around t = 0 integrated
+    term by term (:func:`_head`); [1/2, T] by one 16-point Gauss-Legendre
+    rule per panel of the doubling mesh 1/2, 1, 2, ..., T, with a
+    Bernstein-ellipse remainder bound (:func:`_panels`, :func:`_panel_sums`);
+    [T, inf) bounded analytically, half the bound credited (:func:`_upper_cut`).
+    Raises :class:`PrecisionError` when the bounds sum past ``target_eps``.
     """
     r = float(r)
     q = float(q)
@@ -1057,31 +1152,16 @@ def mzv_integral(r: float, q: float, target_eps: float = DEFAULT_EPS) -> EvalRep
         gam = math.gamma(r)
     except OverflowError:
         raise PrecisionError(f"mzv_integral: Gamma({r}) overflows double precision") from None
-    tail_budget = 0.02 * target_eps * gam
-    head_budget = 0.02 * target_eps * gam
-    t_cut, tail_bound = _upper_cut(r, q, tail_budget)
-    delta, head_bound = _lower_cut(r, q, head_budget)
-
-    edges = [delta]
-    while edges[-1] < _LI_SMALL_T:
-        edges.append(min(_LI_SMALL_T, edges[-1] * 2.0))
-    while edges[-1] < t_cut:
-        edges.append(min(t_cut, edges[-1] * 2.0))
-
-    # Next to the lower cut t^(q-1) in _li_exp_small_t can overflow, and the
-    # integrand turns inf or NaN; _panel refuses the non-finite bound.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total, total_bound, evals = _quadrature(
-            _integrand_factory(r, q), edges, 0.9 * target_eps * gam
-        )
-    # The omitted end regions hold positive mass below their analytic
-    # bounds; crediting half of each bound centres the truncation error,
-    # which is then within 0.5 * bound (reported with a cushion).
-    total += 0.5 * (head_bound + tail_bound)
+    t_cut, tail_bound = _upper_cut(r, q, 0.02 * target_eps * gam)
+    head, head_bound, head_terms = _head(r, q)
+    a, b, big = _panels(r, q, t_cut, 1e-9 * target_eps * gam)
+    parts, panel_bounds = _panel_sums(r, q, a, b, big)
+    total = math.fsum([head, *parts.tolist(), 0.5 * tail_bound])
+    # the omitted tail holds positive mass below its bound; crediting half
+    # of it centres the truncation error within 0.5 * bound
+    total_bound = _up(head_bound, *panel_bounds.tolist(), 0.6 * tail_bound, _EPS * abs(total))
     value = total / gam
-    bound = (total_bound + 0.6 * tail_bound + 0.6 * head_bound) / gam + 6.0 * _EPS * abs(
-        value
-    )
-    if bound > target_eps:
+    bound = total_bound / gam + 6.0 * _EPS * abs(value)
+    if not bound <= target_eps:
         raise PrecisionError(f"mzv_integral({r},{q}): bound {bound} > {target_eps}")
-    return EvalReport(value, bound, evals)
+    return EvalReport(value, bound, head_terms + 16 * parts.size)

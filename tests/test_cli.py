@@ -219,7 +219,7 @@ class TestRealTailSumBytes:
 
 
 #: sha256 of ``verify --suite all --seed 7 --format json`` output
-VERIFY_ALL_DIGEST = "408069ca568b3803c8f4829d75c4d5b7cb0abf6de5176db6379917210894e8ec"
+VERIFY_ALL_DIGEST = "60bb63a041bb1b7440e9045ea726a07e7c279601d651c5029c649eb63daaf169"
 
 
 class TestVerifyBytes:
@@ -326,3 +326,31 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2,3"
+
+    def test_reused_parser_matches_a_fresh_interpreter(self, capsys, monkeypatch):
+        # one parser serves every call in a process; each command run twice
+        # here, a usage error and --help must print what a new process prints
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(zetatails.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        commands = [
+            ("zeta", "--args", "2.5", "--format", "json"),
+            ("mzv", "--args", "2.5,1.5", "--format", "csv"),
+            ("tail-sum", "--exponents", "2.2,2.5", "--brute"),
+            ("formula", "--exponents", "p,q", "--format", "json"),
+            ("reduce", "--args", "3,2"),
+            ("dual", "--args", "2,1,2", "--format", "csv"),
+            ("verify", "--suite", "paper", "--format", "csv"),
+            ("mzv", "--args", "2,x"),
+            ("--help",),
+            ("tail-sum", "--help"),
+        ]
+        for argv in commands:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "zetatails.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            for _ in range(2):
+                assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

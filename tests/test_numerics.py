@@ -461,50 +461,62 @@ class TestMzvIntegral:
         with pytest.raises(DomainError):
             mzv_integral(2.0, 0.0)  # q must exceed 2 - r = 0
 
-    @pytest.mark.parametrize(
-        "r,q",
-        [
-            # r + q - 2 = 0.078: the integrand overflows to NaN at the lower cut
-            (3.602930087155526, -1.5244686484777583),
-            # the Gamma and zeta(q - n) poles cancel; their rounding fills the budget
-            (2.0, 1.0 + 1e-7),
-            (2.0, 2.0 + 1e-7),
-        ],
-    )
+    #: once refused: r + q - 2 = 0.078, where the integrand overflowed to NaN
+    #: at the lower cut, and q within 1e-7 of an integer, where the Gamma
+    #: and zeta(q - n) poles of the small-t expansion filled the budget
+    FORMER_REFUSALS = [
+        (3.602930087155526, -1.5244686484777583),
+        (2.0, 1.0 + 1e-7),
+        (2.0, 2.0 + 1e-7),
+    ]
+
+    @pytest.mark.parametrize("r,q", FORMER_REFUSALS)
     def test_refuses_in_bounded_time(self, r, q):
+        # a target below the rounding of the value itself
         start = time.perf_counter()
         with pytest.raises(PrecisionError):
-            mzv_integral(r, q)
+            mzv_integral(r, q, 1e-17)
         assert time.perf_counter() - start < 1.0
 
-    def test_overflow_is_refused_without_warnings(self):
-        # t^(q-1) overflows next to the lower cut; the bound check refuses it
+    @pytest.mark.parametrize(
+        "r,q,eps", [(r, q, 1e-9) for r, q in FORMER_REFUSALS] + [(1.04, 1.5, 1e-9), (1.02, 3.0, 1e-7)]
+    )
+    def test_former_refusals_are_served(self, r, q, eps):
+        start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PrecisionError, match="non-finite"):
-                mzv_integral(3.602930087155526, -1.5244686484777583)
-
-    def test_stalled_panel_is_refused(self):
-        # the 16-point rule sees a pole at t = 1, the 32-point rule sees
-        # nothing: the rule difference next to t = 1 stays put however small
-        # the panel, until its midpoint is no longer inside it
-        def pole(t):
-            v = 1.0 / (t - 1.0 + 1e-300) if len(t) == 16 else np.zeros_like(t)
-            return v, np.zeros_like(t)
-
-        start = time.perf_counter()
-        with pytest.raises(PrecisionError, match="stalled"):
-            numerics._quadrature(pole, [1.0, 2.0], 1e-9)
+            a = mzv_integral(r, q, eps)
         assert time.perf_counter() - start < 1.0
+        b = mzv((r, q), 1e-9)
+        assert abs(a.value - b.value) <= combined(a, b)
 
-    def test_panel_cap_is_refused(self, monkeypatch):
-        # the rule difference on [0, 1] halves only with each split of a panel
-        def wiggle(t):
-            return np.sin(1e7 * t), np.zeros_like(t)
+    def test_overflow_is_refused_without_warnings(self):
+        # Gamma(r) overflows double precision past r = 171.6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="overflows"):
+                mzv_integral(172.0, 1.0)
 
-        monkeypatch.setattr(numerics, "_MAX_PANELS", 64)
-        with pytest.raises(PrecisionError, match="64 panels"):
-            numerics._quadrature(wiggle, [0.0, 1.0], 1e-9)
+    @pytest.mark.parametrize("r,q", [(2.0, 300.0), (2.5, 1000.0), (2.0, 5000.0)])
+    def test_large_q_is_served_or_refused_cleanly(self, r, q):
+        # the expansion of Li_q(e^-t) needs more than q terms
+        try:
+            rep = mzv_integral(r, q)
+        except PrecisionError as exc:
+            assert "terms" in str(exc)
+        else:
+            # Li_q(e^-t) is e^-t to within 2^-q: zeta(r, q) is zeta(r) - 1
+            assert abs(rep.value - (zeta(r, 1e-12).value - 1.0)) <= rep.abs_error_bound + 1e-12
+
+    def test_panels_stay_inside_their_ellipses(self):
+        # every panel of the doubling mesh, the clipped last one included,
+        # is at most as wide as its left end, so E_rho stays in Re t > 0
+        for r, q in [(2.5, 1.7), (1.3, 2.2), (6.0, -3.9), (20.0, 2.5)]:
+            t_cut, _ = numerics._upper_cut(r, q, 1e-11)
+            a, b, big = numerics._panels(r, q, t_cut, 1e-20)
+            assert a[0] == numerics._HEAD_T and b[-1] == t_cut
+            assert (a[1:] == b[:-1]).all() and (b - a <= a).all()
+            assert np.isfinite(big).all()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -517,7 +529,9 @@ class TestMzvIntegral:
         try:
             rep = mzv_integral(r, q)
         except (DomainError, PrecisionError):
-            pass
+            # only where the value, about zeta(r + q - 1) / (r - 1), so about
+            # 1 / ((r - 1)(r + q - 2)), is too large for 1e-9 in doubles
+            assert (r - 1.0) * (r + q - 2.0) < 1e-4
         else:
             assert math.isfinite(rep.value) and math.isfinite(rep.abs_error_bound)
         assert time.perf_counter() - start < 2.0
@@ -639,14 +653,25 @@ class TestInternalLine:
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 0.5, -0.7])
     def test_polylog_exp_branches_agree_at_switch(self, q):
-        # expansion around t = 0 against the direct series in e^-t
-        from zetatails.numerics import _li_exp_small_t, _li_series
+        # the head's expansion coefficients summed at t = 1/2 against the
+        # direct series in e^-t
+        from zetatails.numerics import _li_exp_coefs, _li_series, _li_series_bound
 
-        t = np.array([0.499999, 0.5])
-        v_small, e_small = _li_exp_small_t(q, t)
-        v_dir, e_dir, _ = _li_series(q, np.exp(-t), 1e-18, lambda: "switch")
-        gap = float(np.max(np.abs(v_small - v_dir)))
-        assert gap <= float(np.max(e_small) + np.max(e_dir)) + 1e-14
+        t, count = 0.5, 40
+        coef, err, pair, sing, sing_err = _li_exp_coefs(q, count)
+        if pair is None:
+            shape = t ** (q - 1.0)
+        else:
+            e = q - pair - 1.0
+            shape = t**pair * (math.expm1(e * math.log(t)) / e if e else math.log(t))
+        v_small = math.fsum([sing * shape] + [c * t**n for n, c in enumerate(coef)])
+        e_small = (
+            sing_err * abs(shape)
+            + math.fsum(e * t**n for n, e in enumerate(err))
+            + _li_series_bound(q, t, count - 1)
+        )
+        v_dir, e_dir, _ = _li_series(q, np.exp(-np.array([t])), 1e-18, lambda: "switch")
+        assert abs(v_small - float(v_dir[0])) <= e_small + float(e_dir[0]) + 1e-14
 
     @pytest.mark.parametrize("q", [-1.3, 0.6, 3.7])
     def test_quadrature_polylog_matches_public_polylog(self, q):

@@ -6,13 +6,17 @@ pure-identity tests cannot see; they are skipped when mpmath is absent.
 """
 
 import math
+import random
 import sys
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 mp = pytest.importorskip("mpmath")
 
+from zetatails import numerics  # noqa: E402
 from zetatails import (  # noqa: E402
     PrecisionError,
     ZetaPolynomial,
@@ -156,6 +160,127 @@ def test_mzv_integral_bound_covers_truth(args):
     truth = MZV_TRUTHS[args] if args in MZV_TRUTHS else _depth_two(r, q)
     err = abs(rep.value - float(truth))
     assert err <= rep.abs_error_bound + 2e-16
+
+
+def _integral_between(r, q, edges):
+    """integral of t^(r-1) Li_q(e^-t) / (e^t - 1) over each [edges[i], edges[i+1]],
+    edges[0] > 0, as sum_{n>=2} n^(-r) [Gamma(r, n a) - Gamma(r, n b)] sum_{m<n} m^(-q):
+    exact term by term; Gamma(r, n e) is dropped once n e > r + 100."""
+    r, q = mp.mpf(r), mp.mpf(q)
+    edges = [mp.mpf(e) for e in edges]
+    out = [mp.mpf(0)] * (len(edges) - 1)
+    harmonic, n = mp.mpf(0), 1
+    while n * edges[0] <= r + 100:
+        harmonic += mp.mpf(n) ** -q
+        n += 1
+        upper = [mp.gammainc(r, n * e) if n * e <= r + 100 else 0 for e in edges]
+        weight = mp.mpf(n) ** -r * harmonic
+        for i in range(len(out)):
+            out[i] += weight * (upper[i] - upper[i + 1])
+    return out
+
+
+def _head_truth(r, q):
+    """The integral over [0, 1/2], as Gamma(r) zeta(r, q) less the rest."""
+    return mp.gamma(r) * _depth_two(r, q) - _integral_between(r, q, [0.5, mp.inf])[0]
+
+
+#: integer q, then q = n +- 10^-k: the pole pair at its widest and tightest
+HEAD_GRID = [(4.5, -2.0), (3.0, 0.0), (2.0, 1.0), (2.0, 2.0), (2.5, 3.0)] + [
+    (r, n + sign * 10.0**-k)
+    for n, r in ((1, 2.0), (2, 2.5), (3, 3.0))
+    for sign in (-1, 1)
+    for k in (2, 3, 5, 7, 9)
+]
+
+
+@pytest.mark.parametrize("r,q", HEAD_GRID, ids=str)
+def test_head_bound_covers_truth(r, q):
+    value, bound, _ = numerics._head(r, q)
+    assert abs(value - _head_truth(r, q)) <= bound
+
+
+def _random_rq(seed, count):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        r = rng.uniform(1.05, 6.0)
+        q = rng.uniform(2.0 - r + 0.05, 6.0)
+        pairs.append((r, q))
+    return pairs
+
+
+def _mesh(r, q):
+    t_cut, _ = numerics._upper_cut(r, q, 1e-11 * math.gamma(r))
+    return numerics._panels(r, q, t_cut, 1e-20)
+
+
+@pytest.mark.parametrize("r,q", _random_rq(14, 50), ids=lambda x: f"{x:.4f}")
+def test_panel_bounds_cover_truth(r, q):
+    # the float 16-point sum of every mesh panel against the exact integral
+    a, b, big = _mesh(r, q)
+    parts, bounds = numerics._panel_sums(r, q, a, b, big)
+    truth = _integral_between(r, q, [*a.tolist(), float(b[-1])])
+    for part, bound, exact in zip(parts.tolist(), bounds.tolist(), truth):
+        assert abs(part - exact) <= bound
+
+
+def _gauss_legendre_16():
+    """Nodes and weights of the 16-point rule at the working precision."""
+    nodes = [mp.findroot(lambda x: mp.legendre(16, x), float(x)) for x in np.polynomial.legendre.leggauss(16)[0]]
+    weights = [2 / ((1 - x**2) * mp.diff(lambda y: mp.legendre(16, y), x) ** 2) for x in nodes]
+    return nodes, weights
+
+
+@pytest.mark.parametrize("r,q", _random_rq(15, 6), ids=lambda x: f"{x:.4f}")
+def test_panel_remainder_covers_exact_rule(r, q):
+    # the rule in exact arithmetic errs by no more than its Bernstein bound
+    with mp.workdps(50):
+        nodes, weights = _gauss_legendre_16()
+        a, b, big = _mesh(r, q)
+        truth = _integral_between(r, q, [*a.tolist(), float(b[-1])])
+        rp, qp = mp.mpf(r), mp.mpf(q)
+        for lo, hi, m, exact in zip(a.tolist(), b.tolist(), big.tolist(), truth):
+            half, mid = (mp.mpf(hi) - lo) / 2, (mp.mpf(hi) + lo) / 2
+            ts = [mid + half * x for x in nodes]
+            rule = half * mp.fsum(
+                w * t ** (rp - 1) * mp.polylog(qp, mp.exp(-t)) / mp.expm1(t) for w, t in zip(weights, ts)
+            )
+            assert abs(rule - exact) <= numerics._GL_REMAINDER * float(half) * m
+
+
+@pytest.mark.parametrize(
+    "r,q,eps",
+    [(r, q, 1e-9) for r in (1.25, 1.1, 1.01, 1.001, 1.0001) for q in (1.5, 3.0)]
+    + [(1.0 + 2.0 * numerics.MIN_GAP, 2.0, 1e-5), (1.02, 3.0, 1e-7)],
+    ids=str,
+)
+def test_mzv_integral_near_r_one_covers_truth(r, q, eps):
+    rep = mzv_integral(r, q, eps)
+    assert _covers(rep, _depth_two(r, q))
+
+
+@pytest.mark.parametrize(
+    "r,q",
+    [(r, n + sign * 1e-7) for r in (2.0, 2.5, 3.0) for n in (1, 2, 3) for sign in (-1, 1)],
+    ids=str,
+)
+def test_mzv_integral_near_integer_q_covers_truth(r, q):
+    rep = mzv_integral(r, q, 1e-9)
+    assert _covers(rep, _depth_two(r, q))
+
+
+@pytest.mark.parametrize(
+    "r,q,eps",
+    [(3.602930087155526, -1.5244686484777583, 1e-9), (2.0, 1.0 + 1e-7, 1e-9), (2.0, 2.0 + 1e-7, 1e-9)]
+    + [(1.04, 1.5, 1e-9), (1.02, 3.0, 1e-7)],
+    ids=str,
+)
+def test_former_refusals_cover_truth(r, q, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = mzv_integral(r, q, eps)
+    assert _covers(rep, _depth_two(r, q))
 
 
 def _poly_truth(poly):
